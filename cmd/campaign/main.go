@@ -15,8 +15,9 @@
 //
 // The canonical JSON report (-json) excludes wall-clock measurements, so
 // two runs with the same flags and -seed produce byte-identical files;
-// -timing adds the volatile timing section (wall-clock plus the planner's
-// shared-core skeleton counters). Strategy synthesis defaults to
+// -timing adds the volatile timing section (wall-clock, the planner's
+// shared-core skeleton counters and the matrix cells by consultant kind,
+// compiled or interpreted). Strategy synthesis defaults to
 // deterministic propagation; raising -prop-workers above 1 trades
 // byte-reproducibility of inconclusive-reason texts for solve speed. Edge
 // goals are planned as ghost overlays on one shared explored core

@@ -50,3 +50,45 @@ func TestCampaignCompiledReportByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignCellsRunTheConsultantTheyClaim checks the path, not the
+// result: compiled and interpreted execution give byte-identical reports,
+// so only the per-kind cell counters show which consultant each cell ran.
+// Smartlight's edge campaign has lazily recovered entries, whose cells
+// must run compiled like every other entry's.
+func TestCampaignCellsRunTheConsultantTheyClaim(t *testing.T) {
+	sys, env, plant, _, err := models.ByName("smartlight", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disable := range []bool{false, true} {
+		rep, err := Run(sys, env, Options{
+			Coverage:       CoverEdges,
+			Plant:          plant,
+			Mutants:        2,
+			Workers:        2,
+			Seed:           1,
+			Solver:         game.Options{Workers: 1},
+			DisableCompile: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Summary.Recovered == 0 {
+			t.Fatal("smartlight edge coverage must recover goals lazily (the lazy entries are the point)")
+		}
+		cells := 0
+		for _, row := range rep.Matrix {
+			cells += len(row.Cells)
+		}
+		ps := rep.Volatile.Planning
+		compiled, interpreted := ps.CompiledCells, ps.InterpretedCells
+		if disable {
+			compiled, interpreted = interpreted, compiled
+		}
+		if compiled != cells || interpreted != 0 {
+			t.Errorf("DisableCompile=%v: %d compiled and %d interpreted cells of %d; every cell must run %s",
+				disable, ps.CompiledCells, ps.InterpretedCells, cells, map[bool]string{false: "compiled", true: "interpreted"}[disable])
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tigatest/internal/game"
 	"tigatest/internal/model"
 	"tigatest/internal/mutate"
 	"tigatest/internal/tiots"
@@ -66,7 +67,8 @@ func BuildIUTs(sys *model.System, opts *Options, lazyRow bool) ([]*IUTRow, error
 }
 
 // Execute runs every (entry × row) cell on Options.Workers goroutines and
-// returns the tally matrix indexed [row][entry]. Cells only read the
+// returns the tally matrix indexed [row][entry]. It adds the executed
+// cells, by consultant kind, to suite.Stats. Cells only read the
 // shared strategies and build per-run IUT instances, so any schedule
 // produces the same matrix; results are stored by index, keeping reports
 // deterministic.
@@ -88,7 +90,7 @@ func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 	if workers < 1 {
 		workers = 1
 	}
-	var cursor atomic.Int64
+	var cursor, compiled, interpreted atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -109,7 +111,12 @@ func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 				// One consultant per entry, shared by every IUT row and every
 				// repeat touching this strategy: the compiled tables are built
 				// once at plan time, never per cell.
-				runner := &Runner{Strategy: entry.consultant(), Exec: opts.Exec}
+				runner := &Runner{Strategy: entry.consult, Exec: opts.Exec}
+				if _, ok := entry.consult.(*game.CompiledStrategy); ok {
+					compiled.Add(1)
+				} else {
+					interpreted.Add(1)
+				}
 				// The cell seed mixes the campaign seed with the cell
 				// coordinates so every cell draws an independent stream
 				// regardless of scheduling.
@@ -125,5 +132,7 @@ func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 		}()
 	}
 	wg.Wait()
+	suite.Stats.CompiledCells += int(compiled.Load())
+	suite.Stats.InterpretedCells += int(interpreted.Load())
 	return matrix
 }

@@ -76,20 +76,30 @@ type SuiteEntry struct {
 	// Nodes/Transitions are the solver's explored graph size (identical
 	// for every worker count, so safe for canonical reports).
 	Nodes, Transitions int
-	// consult is the execution-facing consultant, shared by the planning
-	// run and every (row x repeat) cell of the matrix: the compiled
-	// decision tables unless the DisableCompile ablation keeps the
-	// interpreted strategy.
+	// consult is the execution-facing consultant (Options.consultantFor),
+	// shared by the planning run — eager or lazy retry — and every
+	// (row x repeat) cell of the matrix.
 	consult game.Consultant
 }
 
-// consultant returns the entry's shared execution consultant, falling back
-// to the interpreted strategy for entries constructed outside Plan.
-func (e *SuiteEntry) consultant() game.Consultant {
-	if e.consult != nil {
-		return e.consult
+// newEntry builds the suite entry for a strategy whose planning run passed
+// with the given trace. It is the only constructor of SuiteEntry, so every
+// entry executes through the consultant Options.consultantFor picks — the
+// same one its planning run used, since consultantFor returns the Result's
+// cached compiled form.
+func (o *Options) newEntry(index int, pg *PlannedGoal, res *game.Result, trace tiots.Trace, scale int64, lazy bool) *SuiteEntry {
+	return &SuiteEntry{
+		Index:           index,
+		Purpose:         pg.Purpose,
+		SourceGoal:      pg.Name,
+		Cooperative:     res.Strategy.Cooperative(),
+		Lazy:            lazy,
+		Strategy:        res.Strategy,
+		ConformantTrace: trace.Format(res.Strategy.System(), scale),
+		Nodes:           res.Stats.Nodes,
+		Transitions:     res.Stats.Transitions,
+		consult:         o.consultantFor(res),
 	}
-	return e.Strategy
 }
 
 // Suite is the planned campaign: the strategy set plus the per-goal
@@ -122,6 +132,12 @@ type PlanStats struct {
 	// for location goals the per-signature core graph.
 	SkeletonHits   int `json:"skeleton_hits"`
 	SkeletonMisses int `json:"skeleton_misses"`
+	// CompiledCells/InterpretedCells count the executed matrix cells by the
+	// kind of consultant they ran (Execute, once per cell): compiled
+	// decision tables, or the interpreted Strategy.MoveAt. Both kinds give
+	// byte-identical reports, so only these counters show which path ran.
+	CompiledCells    int `json:"compiled_cells"`
+	InterpretedCells int `json:"interpreted_cells"`
 	// Solver phase wall-clock totals in nanoseconds (game.Stats phase
 	// timings summed over every per-goal solve; volatile by nature). When
 	// solves are served from an external cache, the producing solve's
@@ -406,8 +422,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 		// implementation's determinization never grants die here; a
 		// strict strategy missing its own goal is a defect and is
 		// reported as such.
-		consult := opts.consultantFor(res)
-		runner := &Runner{Strategy: consult, Exec: opts.Exec}
+		runner := &Runner{Strategy: opts.consultantFor(res), Exec: opts.Exec}
 		r := runner.RunOnce(tiots.NewDetIUT(impl, scale, nil))
 		if r.Verdict != texec.Pass {
 			reason := "conformant run: " + r.Verdict.String() + " (" + r.Reason + ")"
@@ -419,17 +434,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 			continue
 		}
 		ec := replayCover(impl, opts.Plant, r.Trace, scale)
-		entry := &SuiteEntry{
-			Index:           len(suite.Entries),
-			Purpose:         pg.Purpose,
-			SourceGoal:      pg.Name,
-			Cooperative:     res.Strategy.Cooperative(),
-			Strategy:        res.Strategy,
-			ConformantTrace: r.Trace.Format(res.Strategy.System(), scale),
-			Nodes:           res.Stats.Nodes,
-			Transitions:     res.Stats.Transitions,
-			consult:         consult,
-		}
+		entry := opts.newEntry(len(suite.Entries), pg, res, r.Trace, scale, false)
 		suite.Entries = append(suite.Entries, entry)
 		covers = append(covers, ec)
 		// Covered means the REPLAYED run traversed the goal — the same
@@ -481,21 +486,11 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 				continue
 			}
 			if m.candidate != nil {
-				runner := &Runner{Strategy: m.candidate.Strategy, Exec: opts.Exec}
+				runner := &Runner{Strategy: opts.consultantFor(m.candidate), Exec: opts.Exec}
 				r := runner.RunOnce(tiots.NewDetIUT(impl, scale, tiots.LazyPolicy()))
 				if r.Verdict == texec.Pass {
 					if ec := replayCover(impl, opts.Plant, r.Trace, scale); ec.has(pg.Goal) {
-						entry := &SuiteEntry{
-							Index:           len(suite.Entries),
-							Purpose:         pg.Purpose,
-							SourceGoal:      pg.Name,
-							Cooperative:     m.candidate.Strategy.Cooperative(),
-							Lazy:            true,
-							Strategy:        m.candidate.Strategy,
-							ConformantTrace: r.Trace.Format(m.candidate.Strategy.System(), scale),
-							Nodes:           m.candidate.Stats.Nodes,
-							Transitions:     m.candidate.Stats.Transitions,
-						}
+						entry := opts.newEntry(len(suite.Entries), pg, m.candidate, r.Trace, scale, true)
 						suite.Entries = append(suite.Entries, entry)
 						lazies = append(lazies, lazyCover{ec: ec, entry: entry.Index})
 						pg.Status, pg.By = StatusRecovered, entry.Index

@@ -416,12 +416,17 @@ func transGuardHolds(t *symbolic.Transition, val []int64, scale int64) bool {
 // ApplyResets returns the valuation after the transition's clock resets.
 func ApplyResets(t *symbolic.Transition, val []int64, scale int64) []int64 {
 	out := append([]int64(nil), val...)
+	ResetClocks(t, out, scale)
+	return out
+}
+
+// ResetClocks applies the transition's clock resets to val in place.
+func ResetClocks(t *symbolic.Transition, val []int64, scale int64) {
 	for _, e := range t.Edges {
 		for _, r := range e.Resets {
-			out[r.Clock-1] = int64(r.Value) * scale
+			val[r.Clock-1] = int64(r.Value) * scale
 		}
 	}
-	return out
 }
 
 // --- safety strategies ------------------------------------------------

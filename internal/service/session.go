@@ -46,8 +46,9 @@ type session struct {
 	dec  *json.Decoder
 	enc  *json.Encoder
 
-	mu     sync.Mutex
-	active bool // a request is being handled right now
+	mu      sync.Mutex
+	active  bool // a request is being handled right now
+	closing bool // Drain has begun: close after the current response
 
 	// dirty marks the session's framing as untrustworthy (an inline run's
 	// wire stream broke mid-frame): the current response is still written,
@@ -72,16 +73,22 @@ func writeEvent(conn net.Conn, resp *Response) {
 	_ = json.NewEncoder(conn).Encode(resp)
 }
 
-// interruptIfIdle kicks an idle session out of its blocking read by
-// expiring the read deadline; a request already buffered on the stream is
-// still returned by the pending Decode, handled, and answered — beginRequest
-// clears the deadline again, so even a request that races the drain gets
-// its response before the session closes (sessions re-check Draining after
-// every response). In-flight sessions are left alone. Called by Drain with
-// the service lock held.
+// interruptIfIdle marks the session closing and kicks an idle one out of
+// its blocking read by expiring the read deadline; a request already
+// buffered on the stream is still returned by the pending Decode, handled,
+// and answered — beginRequest clears the deadline again, so even a request
+// that races the drain gets its response before the session closes (the
+// serve loop checks closing after every response). In-flight sessions are
+// left to finish. Called by Drain with the service lock held.
+//
+// The mark is per session, set by Drain itself, rather than a re-read of
+// the service's draining flag: a session answering its last request as
+// drain begins still closes, and the draining flag alone — which peer
+// forwards are refused on — never tears down a connection.
 func (ss *session) interruptIfIdle() {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	ss.closing = true
 	if !ss.active {
 		_ = ss.conn.SetReadDeadline(time.Now())
 	}
@@ -98,10 +105,13 @@ func (ss *session) beginRequest() {
 	ss.mu.Unlock()
 }
 
-func (ss *session) endRequest() {
+// endRequest marks the session idle and reports whether Drain has marked
+// it closing.
+func (ss *session) endRequest() (closing bool) {
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	ss.active = false
-	ss.mu.Unlock()
+	return ss.closing
 }
 
 // serve runs the session loop until the client disconnects or the service
@@ -121,8 +131,7 @@ func (ss *session) serve() {
 		ss.s.requests.Add(1)
 		resp := ss.dispatch(&req)
 		err := ss.enc.Encode(resp)
-		ss.endRequest()
-		if err != nil || ss.dirty || ss.s.Draining() {
+		if closing := ss.endRequest(); err != nil || ss.dirty || closing {
 			return
 		}
 	}

@@ -130,7 +130,7 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 			r := inconclusive("strategy graph does not cover allowed output: "+ferr.Error(), steps)
 			return &r, false
 		}
-		val = game.ApplyResets(trans, val, scale)
+		game.ResetClocks(trans, val, scale)
 		node = target
 		bound = strat.StampAt(node, val, scale)
 		return nil, true
@@ -167,7 +167,7 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 			if mv.Trans.Chan < 0 || sys.Channels[mv.Trans.Chan].Kind != model.Controllable {
 				// Environment-internal move: advances the strategy state
 				// without interacting with the IUT.
-				val = game.ApplyResets(mv.Trans, val, scale)
+				game.ResetClocks(mv.Trans, val, scale)
 				node = mv.Target
 				bound = strat.StampAt(node, val, scale)
 				continue
@@ -180,7 +180,7 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 				return inconclusive(err.Error(), steps)
 			}
 			trace = append(trace, tiots.Event{Chan: mv.Trans.Chan, Kind: model.Controllable})
-			val = game.ApplyResets(mv.Trans, val, scale)
+			game.ResetClocks(mv.Trans, val, scale)
 			node = mv.Target
 			bound = strat.StampAt(node, val, scale)
 

@@ -22,11 +22,13 @@ package tioco
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"tigatest/internal/expr"
 	"tigatest/internal/model"
+	"tigatest/internal/tiots"
 )
 
 // Violation describes a conformance violation.
@@ -44,21 +46,25 @@ type state struct {
 	val  []int64 // all clocks, ticks
 }
 
-func (s *state) clone() *state {
-	return &state{
-		locs: append([]int(nil), s.locs...),
-		vars: append([]int32(nil), s.vars...),
-		val:  append([]int64(nil), s.val...),
-	}
+func (s *state) equal(o *state) bool {
+	return slices.Equal(s.locs, o.locs) && slices.Equal(s.vars, o.vars) && slices.Equal(s.val, o.val)
 }
 
 // Monitor tracks Out(s0 After σ) for the plant part of a specification.
+//
+// Steps reuse memory: successor hypotheses are collected in a buffer that
+// swaps with the live one, hypotheses that drop out are recycled by the
+// next fire, delays advance the survivors in place, and the observed trace
+// is kept as events and rendered only when a diagnostic reads it.
 type Monitor struct {
 	sys    *model.System
 	plant  []int // process indices of the plant (IUT) in the closed model
 	scale  int64
 	states []*state
-	trace  []string // human-readable observed trace
+	next   []*state    // successor buffer, swapped with states by commit
+	free   []*state    // dropped hypotheses, reused by fire
+	trace  tiots.Trace // observed trace
+	ctx    expr.Ctx    // guard and assignment evaluation context
 }
 
 // NewMonitor builds a monitor for the plant processes of the specification.
@@ -91,8 +97,8 @@ func (m *Monitor) Reset() {
 	for k, pi := range m.plant {
 		init.locs[k] = m.sys.Procs[pi].Init
 	}
-	m.states = []*state{init}
-	m.trace = nil
+	m.states = append(m.states[:0], init)
+	m.trace = m.trace[:0]
 }
 
 // StateCount returns the number of live hypotheses (1 for deterministic
@@ -100,14 +106,15 @@ func (m *Monitor) Reset() {
 func (m *Monitor) StateCount() int { return len(m.states) }
 
 // Trace returns the observed trace rendered for diagnostics.
-func (m *Monitor) Trace() string { return strings.Join(m.trace, " · ") }
+func (m *Monitor) Trace() string { return m.trace.Format(m.sys, m.scale) }
 
 // guardHolds evaluates an edge's guard in a hypothesis state.
 func (m *Monitor) guardHolds(e *model.Edge, s *state) bool {
-	ctx := &expr.Ctx{Tbl: m.sys.Vars, Env: s.vars}
-	ok, err := expr.Truth(ctx, e.Guard.Data)
-	if err != nil || !ok {
-		return false
+	if e.Guard.Data != nil {
+		m.ctx = expr.Ctx{Tbl: m.sys.Vars, Env: s.vars}
+		if ok, err := expr.Truth(&m.ctx, e.Guard.Data); err != nil || !ok {
+			return false
+		}
 	}
 	for _, c := range e.Guard.Clocks {
 		var vi, vj int64
@@ -152,12 +159,26 @@ func (m *Monitor) maxDelay(s *state, horizon int64) int64 {
 	return best
 }
 
-// fire takes the plant edge in the hypothesis.
+// fire takes the plant edge in a copy of the hypothesis, reusing a
+// dropped hypothesis's memory when there is one.
 func (m *Monitor) fire(e *model.Edge, plantSlot int, s *state) (*state, error) {
-	n := s.clone()
+	var n *state
+	if k := len(m.free); k > 0 {
+		n = m.free[k-1]
+		m.free = m.free[:k-1]
+		copy(n.locs, s.locs)
+		copy(n.vars, s.vars)
+		copy(n.val, s.val)
+	} else {
+		n = &state{
+			locs: slices.Clone(s.locs),
+			vars: slices.Clone(s.vars),
+			val:  slices.Clone(s.val),
+		}
+	}
 	n.locs[plantSlot] = e.Dst
-	ctx := &expr.Ctx{Tbl: m.sys.Vars, Env: n.vars}
-	if err := expr.ApplyAll(ctx, e.Assigns); err != nil {
+	m.ctx = expr.Ctx{Tbl: m.sys.Vars, Env: n.vars}
+	if err := expr.ApplyAll(&m.ctx, e.Assigns); err != nil {
 		return nil, err
 	}
 	for _, r := range e.Resets {
@@ -170,22 +191,22 @@ func (m *Monitor) fire(e *model.Edge, plantSlot int, s *state) (*state, error) {
 // when no specification state allows the plant to stay silent that long
 // (e.g. an invariant forces an output earlier).
 func (m *Monitor) Delay(d int64) error {
-	var next []*state
+	next := m.next[:0]
 	for _, s := range m.states {
-		if m.maxDelay(s, d) < d {
-			continue // this hypothesis forces an action before d
+		if m.maxDelay(s, d) >= d {
+			next = append(next, s) // the others force an action before d
 		}
-		n := s.clone()
-		for i := range n.val {
-			n.val[i] += d
-		}
-		next = append(next, n)
 	}
-	m.trace = append(m.trace, fmt.Sprintf("%d.%03d", d/m.scale, (d%m.scale)*1000/m.scale))
+	m.trace = append(m.trace, tiots.Event{Delay: d, Chan: -1})
 	if len(next) == 0 {
 		return &Violation{Kind: "delay", Detail: fmt.Sprintf("implementation stayed quiet for %d ticks but the specification forces an output earlier (after %s)", d, m.Trace())}
 	}
-	m.states = next
+	for _, s := range next {
+		for i := range s.val {
+			s.val[i] += d
+		}
+	}
+	m.commit(next)
 	return nil
 }
 
@@ -197,7 +218,7 @@ func (m *Monitor) Input(chanIdx int) error {
 	if chanIdx < 0 || chanIdx >= len(m.sys.Channels) || m.sys.Channels[chanIdx].Kind != model.Controllable {
 		return fmt.Errorf("tioco: channel %d is not an input channel", chanIdx)
 	}
-	var next []*state
+	next := m.next[:0]
 	for _, s := range m.states {
 		fired := false
 		for k, pi := range m.plant {
@@ -222,8 +243,8 @@ func (m *Monitor) Input(chanIdx int) error {
 			next = append(next, s) // input ignored in this hypothesis
 		}
 	}
-	m.trace = append(m.trace, m.sys.Channels[chanIdx].Name+"?")
-	m.states = dedup(next)
+	m.trace = append(m.trace, tiots.Event{Chan: chanIdx, Kind: model.Controllable})
+	m.commit(next)
 	return nil
 }
 
@@ -234,7 +255,7 @@ func (m *Monitor) Output(chanIdx int) error {
 	if chanIdx < 0 || chanIdx >= len(m.sys.Channels) || m.sys.Channels[chanIdx].Kind != model.Uncontrollable {
 		return &Violation{Kind: "output", Detail: fmt.Sprintf("observed action on non-output channel %d", chanIdx)}
 	}
-	var next []*state
+	next := m.next[:0]
 	for _, s := range m.states {
 		for k, pi := range m.plant {
 			p := m.sys.Procs[pi]
@@ -254,11 +275,11 @@ func (m *Monitor) Output(chanIdx int) error {
 			}
 		}
 	}
-	m.trace = append(m.trace, m.sys.Channels[chanIdx].Name+"!")
+	m.trace = append(m.trace, tiots.Event{Chan: chanIdx, Kind: model.Uncontrollable})
 	if len(next) == 0 {
 		return &Violation{Kind: "output", Detail: fmt.Sprintf("output %s! not allowed by the specification (after %s; allowed: %s)", m.sys.Channels[chanIdx].Name, m.Trace(), m.AllowedOutputs())}
 	}
-	m.states = dedup(next)
+	m.commit(next)
 	return nil
 }
 
@@ -288,15 +309,22 @@ func (m *Monitor) AllowedOutputs() string {
 	return strings.Join(names, ",")
 }
 
-func dedup(ss []*state) []*state {
-	seen := map[string]bool{}
-	var out []*state
-	for _, s := range ss {
-		key := fmt.Sprintf("%v|%v|%v", s.locs, s.vars, s.val)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, s)
+// commit makes next the live hypotheses, keeping the first occurrence of
+// each distinct state. Hypotheses that do not survive — replaced ones and
+// duplicates — go to the free list; none of them is referenced elsewhere.
+func (m *Monitor) commit(next []*state) {
+	for _, s := range m.states {
+		if !slices.Contains(next, s) {
+			m.free = append(m.free, s)
 		}
 	}
-	return out
+	kept := next[:0]
+	for _, s := range next {
+		if slices.ContainsFunc(kept, s.equal) {
+			m.free = append(m.free, s)
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	m.states, m.next = kept, m.states[:0]
 }

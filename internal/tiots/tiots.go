@@ -22,7 +22,7 @@ package tiots
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"tigatest/internal/expr"
 	"tigatest/internal/model"
@@ -48,24 +48,25 @@ type Trace []Event
 
 // Format renders the trace like "5.0 · touch? · 1.5 · dim!".
 func (tr Trace) Format(sys *model.System, scale int64) string {
-	out := ""
+	var b strings.Builder
 	for i, e := range tr {
 		if i > 0 {
-			out += " · "
+			b.WriteString(" · ")
 		}
 		if e.IsDelay() {
 			whole := e.Delay / scale
 			frac := (e.Delay % scale) * 1000 / scale
-			out += fmt.Sprintf("%d.%03d", whole, frac)
+			fmt.Fprintf(&b, "%d.%03d", whole, frac)
 		} else {
-			mark := "?"
+			b.WriteString(sys.Channels[e.Chan].Name)
 			if e.Kind == model.Uncontrollable {
-				mark = "!"
+				b.WriteByte('!')
+			} else {
+				b.WriteByte('?')
 			}
-			out += sys.Channels[e.Chan].Name + mark
 		}
 	}
-	return out
+	return b.String()
 }
 
 // TotalDelay sums the delays of the trace in ticks.
@@ -102,6 +103,9 @@ type Interp struct {
 	Sys   *model.System
 	Scale int64
 	St    *State
+	// ctx is the expression context guards and assignments evaluate in,
+	// kept here so evaluation does not allocate one per edge.
+	ctx expr.Ctx
 }
 
 // NewInterp creates an interpreter at the initial state.
@@ -137,26 +141,25 @@ type EnabledTransition struct {
 	Label string
 }
 
-// guardHolds checks clock and data guards of the edges at the current
+// guardHolds checks the clock and data guard of one edge at the current
 // state.
-func (ip *Interp) guardHolds(edges []*model.Edge) bool {
-	ctx := &expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}
-	for _, e := range edges {
-		ok, err := expr.Truth(ctx, e.Guard.Data)
-		if err != nil || !ok {
+func (ip *Interp) guardHolds(e *model.Edge) bool {
+	if e.Guard.Data != nil {
+		ip.ctx = expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}
+		if ok, err := expr.Truth(&ip.ctx, e.Guard.Data); err != nil || !ok {
 			return false
 		}
-		for _, c := range e.Guard.Clocks {
-			var vi, vj int64
-			if c.I > 0 {
-				vi = ip.St.Val[c.I-1]
-			}
-			if c.J > 0 {
-				vj = ip.St.Val[c.J-1]
-			}
-			if !c.Bound.SatisfiedBy(vi-vj, ip.Scale) {
-				return false
-			}
+	}
+	for _, c := range e.Guard.Clocks {
+		var vi, vj int64
+		if c.I > 0 {
+			vi = ip.St.Val[c.I-1]
+		}
+		if c.J > 0 {
+			vj = ip.St.Val[c.J-1]
+		}
+		if !c.Bound.SatisfiedBy(vi-vj, ip.Scale) {
+			return false
 		}
 	}
 	return true
@@ -164,32 +167,35 @@ func (ip *Interp) guardHolds(edges []*model.Edge) bool {
 
 // Enabled enumerates the transitions enabled right now.
 func (ip *Interp) Enabled() []EnabledTransition {
+	out, _ := ip.enabledInto(nil, nil)
+	return out
+}
+
+// enabledInto appends the transitions enabled right now to out, in
+// enumeration order: processes in index order, each process's outgoing
+// edges in model order, an emitter's receivers in process order. The
+// transitions' Edges are carved from edges, which is appended to and
+// returned, so a caller that reuses both buffers must be done with the
+// transitions before its next call.
+func (ip *Interp) enabledInto(out []EnabledTransition, edges []*model.Edge) ([]EnabledTransition, []*model.Edge) {
 	sys := ip.Sys
 	committed := sys.IsCommitted(ip.St.Locs)
-	var out []EnabledTransition
-	consider := func(edges []*model.Edge, chanIdx int, kind model.Kind, label string) {
-		if committed {
-			anyCommitted := false
-			for _, e := range edges {
-				if sys.Procs[e.Proc].Locations[e.Src].Committed {
-					anyCommitted = true
-					break
-				}
-			}
-			if !anyCommitted {
-				return
-			}
-		}
-		if ip.guardHolds(edges) {
-			out = append(out, EnabledTransition{Chan: chanIdx, Kind: kind, Edges: edges, Label: label})
-		}
+	// A committed configuration only lets edges leaving a committed
+	// location move.
+	blocked := func(e *model.Edge) bool {
+		return committed && !sys.Procs[e.Proc].Locations[e.Src].Committed
 	}
 	for pi, p := range sys.Procs {
 		for _, ei := range p.OutEdges(ip.St.Locs[pi]) {
 			e := &p.Edges[ei]
 			switch e.Dir {
 			case model.NoSync:
-				consider([]*model.Edge{e}, -1, e.Kind, "tau("+sys.EdgeLabel(e)+")")
+				if blocked(e) || !ip.guardHolds(e) {
+					continue
+				}
+				n := len(edges)
+				edges = append(edges, e)
+				out = append(out, EnabledTransition{Chan: -1, Kind: e.Kind, Edges: edges[n : n+1 : n+1], Label: "tau(" + sys.EdgeLabel(e) + ")"})
 			case model.Emit:
 				for qi, q := range sys.Procs {
 					if qi == pi {
@@ -197,25 +203,32 @@ func (ip *Interp) Enabled() []EnabledTransition {
 					}
 					for _, fi := range q.OutEdges(ip.St.Locs[qi]) {
 						f := &q.Edges[fi]
-						if f.Dir == model.Receive && f.Chan == e.Chan {
-							consider([]*model.Edge{e, f}, e.Chan, sys.Channels[e.Chan].Kind, sys.Channels[e.Chan].Name)
+						if f.Dir != model.Receive || f.Chan != e.Chan {
+							continue
 						}
+						if (blocked(e) && blocked(f)) || !ip.guardHolds(e) || !ip.guardHolds(f) {
+							continue
+						}
+						n := len(edges)
+						edges = append(edges, e, f)
+						ch := sys.Channels[e.Chan]
+						out = append(out, EnabledTransition{Chan: e.Chan, Kind: ch.Kind, Edges: edges[n : n+2 : n+2], Label: ch.Name})
 					}
 				}
 			}
 		}
 	}
-	return out
+	return out, edges
 }
 
 // Take fires the transition, applying assignments and resets.
 func (ip *Interp) Take(t EnabledTransition) error {
-	ctx := &expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}
+	ip.ctx = expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}
 	for _, e := range t.Edges {
 		ip.St.Locs[e.Proc] = e.Dst
 	}
 	for _, e := range t.Edges {
-		if err := expr.ApplyAll(ctx, e.Assigns); err != nil {
+		if err := expr.ApplyAll(&ip.ctx, e.Assigns); err != nil {
 			return fmt.Errorf("tiots: %s: %w", ip.Sys.EdgeLabel(e), err)
 		}
 	}
@@ -367,18 +380,51 @@ type Seeder interface {
 
 // DetIUT interprets a network as a deterministic implementation driven by
 // a DetPolicy. It satisfies IUT.
+//
+// A step allocates nothing beyond the *Output it returns: enabled
+// transitions are enumerated once per state into reused buffers, and the
+// output windows are keyed by comparable transKey structs in two maps that
+// swap roles on every refresh.
 type DetIUT struct {
 	ip     *Interp
 	policy *DetPolicy
-	// pending tracks, per uncontrollable transition signature, how long its
-	// guard has been enabled (to implement Offset).
-	enabledFor map[string]int64
+	// enabledFor tracks, per enabled uncontrollable transition, how long its
+	// guard has been enabled (to implement Offset). refreshWindows fills
+	// spare and swaps the two.
+	enabledFor, spare map[transKey]int64
+	// enabled and edges are enabledNow's reused buffers; enabled holds the
+	// current state's transitions while fresh is set.
+	enabled []EnabledTransition
+	edges   []*model.Edge
+	fresh   bool
+	// fired holds the edges of the output scheduledOutput picked, which
+	// must outlive the enabledNow calls made before Advance takes it.
+	fired [2]*model.Edge
+}
+
+// transKey identifies an enabled transition across steps: its channel and
+// the global IDs of its one or two edges (e1 is -1 for a single edge).
+type transKey struct {
+	ch, e0, e1 int
+}
+
+func keyOf(t EnabledTransition) transKey {
+	k := transKey{ch: t.Chan, e0: t.Edges[0].ID, e1: -1}
+	if len(t.Edges) > 1 {
+		k.e1 = t.Edges[1].ID
+	}
+	return k
 }
 
 // NewDetIUT builds a deterministic implementation from a network (usually
 // the plant part of a specification, or a mutated copy).
 func NewDetIUT(sys *model.System, scale int64, policy *DetPolicy) *DetIUT {
-	return &DetIUT{ip: NewInterp(sys, scale), policy: policy, enabledFor: map[string]int64{}}
+	return &DetIUT{
+		ip:         NewInterp(sys, scale),
+		policy:     policy,
+		enabledFor: map[transKey]int64{},
+		spare:      map[transKey]int64{},
+	}
 }
 
 // State exposes the current concrete state (tests only).
@@ -390,61 +436,75 @@ func (d *DetIUT) Interp() *Interp { return d.ip }
 // Reset implements IUT.
 func (d *DetIUT) Reset() {
 	d.ip.Reset()
-	d.enabledFor = map[string]int64{}
+	d.fresh = false
+	clear(d.enabledFor)
 }
 
-func transSig(t EnabledTransition) string {
-	sig := fmt.Sprintf("c%d", t.Chan)
-	for _, e := range t.Edges {
-		sig += fmt.Sprintf(":%d", e.ID)
+// enabledNow returns the transitions enabled in the current state,
+// enumerating them into the reused buffers once per state. The result is
+// valid until the state changes.
+func (d *DetIUT) enabledNow() []EnabledTransition {
+	if !d.fresh {
+		d.enabled, d.edges = d.ip.enabledInto(d.enabled[:0], d.edges[:0])
+		d.fresh = true
 	}
-	return sig
+	return d.enabled
+}
+
+// take fires the transition, leaving the next enabledNow to enumerate the
+// new state.
+func (d *DetIUT) take(t EnabledTransition) error {
+	d.fresh = false
+	return d.ip.Take(t)
 }
 
 // Offer implements IUT: deliver the input; per strong input-enabledness the
 // input is ignored when no edge is enabled (common for real systems: the
 // button does nothing).
 func (d *DetIUT) Offer(chanIdx int) error {
-	for _, t := range d.ip.Enabled() {
+	for _, t := range d.enabledNow() {
 		if t.Chan == chanIdx && t.Kind == model.Controllable {
-			if err := d.ip.Take(t); err != nil {
+			if err := d.take(t); err != nil {
 				return err
 			}
-			d.noteGuardChanges()
+			d.refreshWindows(0) // windows restart when the state changes
 			return nil
 		}
 	}
 	return nil // input ignored
 }
 
-// noteGuardChanges refreshes the enabled-since bookkeeping after a discrete
-// step (windows restart when the state changes).
-func (d *DetIUT) noteGuardChanges() {
-	now := map[string]int64{}
-	for _, t := range d.ip.Enabled() {
+// refreshWindows rebuilds the output windows after dt ticks passed or a
+// discrete step: a window still open ages by dt, a newly opened one starts
+// at age 0 and a closed one is dropped.
+func (d *DetIUT) refreshWindows(dt int64) {
+	next := d.spare
+	clear(next)
+	for _, t := range d.enabledNow() {
 		if t.Kind != model.Uncontrollable {
 			continue
 		}
-		sig := transSig(t)
-		if v, ok := d.enabledFor[sig]; ok {
-			now[sig] = v
+		k := keyOf(t)
+		if age, ok := d.enabledFor[k]; ok {
+			next[k] = age + dt
 		} else {
-			now[sig] = 0
+			next[k] = 0
 		}
 	}
-	d.enabledFor = now
+	d.enabledFor, d.spare = next, d.enabledFor
 }
 
 // scheduledOutput returns the next output due within d ticks: the enabled
-// uncontrollable transition whose remaining offset is smallest.
+// uncontrollable transition whose remaining offset is smallest, ties going
+// to the lower priority value and then to the earlier enumerated one.
 func (d *DetIUT) scheduledOutput(dl int64) (EnabledTransition, int64, bool) {
-	type cand struct {
-		t      EnabledTransition
-		due    int64
-		branch int
-	}
-	var cands []cand
-	for _, t := range d.ip.Enabled() {
+	var (
+		best    EnabledTransition
+		bestDue int64
+		bestPri int
+		found   bool
+	)
+	for _, t := range d.enabledNow() {
 		if t.Kind != model.Uncontrollable {
 			continue
 		}
@@ -463,28 +523,21 @@ func (d *DetIUT) scheduledOutput(dl int64) (EnabledTransition, int64, bool) {
 			}
 			due = close
 		} else {
-			sig := transSig(t)
-			waited := d.enabledFor[sig]
-			due = dec.Offset - waited
+			due = dec.Offset - d.enabledFor[keyOf(t)]
 		}
 		if due < 0 {
 			due = 0
 		}
-		cands = append(cands, cand{t: t, due: due, branch: d.policy.priorityFor(t)})
-	}
-	if len(cands) == 0 {
-		return EnabledTransition{}, 0, false
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].due != cands[j].due {
-			return cands[i].due < cands[j].due
+		pri := d.policy.priorityFor(t)
+		if !found || due < bestDue || (due == bestDue && pri < bestPri) {
+			best, bestDue, bestPri, found = t, due, pri, true
 		}
-		return cands[i].branch < cands[j].branch
-	})
-	if cands[0].due > dl {
+	}
+	if !found || bestDue > dl {
 		return EnabledTransition{}, 0, false
 	}
-	return cands[0].t, cands[0].due, true
+	best.Edges = append(d.fired[:0], best.Edges...)
+	return best, bestDue, true
 }
 
 // Advance implements IUT: move time forward by up to d ticks; if an output
@@ -506,10 +559,10 @@ func (d *DetIUT) Advance(dl int64) *Output {
 		if t, due, ok := d.scheduledOutput(remaining); ok {
 			d.stepTime(due)
 			elapsed += due
-			if err := d.ip.Take(t); err != nil {
+			if err := d.take(t); err != nil {
 				return nil
 			}
-			d.noteGuardChanges()
+			d.refreshWindows(0)
 			return &Output{Chan: t.Chan, After: elapsed}
 		}
 		if remaining <= 0 {
@@ -627,29 +680,6 @@ func (d *DetIUT) stepTime(dt int64) {
 		return
 	}
 	d.ip.Advance(dt)
-	for sig := range d.enabledFor {
-		d.enabledFor[sig] += dt
-	}
-	// Newly opened windows start aging now.
-	for _, t := range d.ip.Enabled() {
-		if t.Kind != model.Uncontrollable {
-			continue
-		}
-		sig := transSig(t)
-		if _, ok := d.enabledFor[sig]; !ok {
-			d.enabledFor[sig] = 0
-		}
-	}
-	// Windows that closed while waiting reset their age.
-	open := map[string]bool{}
-	for _, t := range d.ip.Enabled() {
-		if t.Kind == model.Uncontrollable {
-			open[transSig(t)] = true
-		}
-	}
-	for sig := range d.enabledFor {
-		if !open[sig] {
-			delete(d.enabledFor, sig)
-		}
-	}
+	d.fresh = false
+	d.refreshWindows(dt)
 }
