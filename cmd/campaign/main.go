@@ -61,7 +61,7 @@ func main() {
 		jsonOut     = flag.String("json", "", "write the JSON report to this file")
 		timing      = flag.Bool("timing", false, "include volatile wall-clock timings in the JSON report")
 		connect     = flag.String("connect", "", "also test a remote IUT served at this address (adapter protocol)")
-		solvWorkers = flag.Int("solver-workers", 1, "strategy-synthesis exploration workers (0 = all cores)")
+		solvWorkers = flag.Int("solver-workers", 0, "strategy-synthesis exploration workers (0 = all cores; reports do not depend on it)")
 		propWorkers = flag.Int("prop-workers", 1, "propagation workers; > 1 is faster but makes reason texts schedule-dependent")
 		sharedCore  = flag.Bool("shared-core", true, "solve edge goals as ghost overlays on one shared explored core (false: re-explore a clone per edge; reports are identical either way)")
 		compile     = flag.Bool("compile", true, "execute through compiled strategy decision tables (false: interpreted consultation; reports are identical either way)")

@@ -98,12 +98,15 @@ func TestCampaignSmartLightEdgeCoverage(t *testing.T) {
 }
 
 // TestCampaignReportReproducible: byte-identical canonical JSON across two
-// runs with the same seed at Workers == 4.
+// runs with the same seed, and across solver exploration worker counts.
+// Wiring is sequential, so node numbering, strategies and verdicts agree at
+// every count (propagation stays at one worker, the campaign default).
 func TestCampaignReportReproducible(t *testing.T) {
-	render := func() []byte {
+	render := func(solverWorkers int) []byte {
 		sys := models.SmartLight()
 		opts := smartLightOptions()
 		opts.Repeats = 2
+		opts.Solver = game.Options{Workers: solverWorkers, PropagationWorkers: 1}
 		rep, err := Run(sys, models.SmartLightEnv(sys), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -114,9 +117,14 @@ func TestCampaignReportReproducible(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a, b := render(), render()
+	a, b := render(1), render(1)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("reports differ across runs with the same seed:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+	}
+	for _, w := range []int{2, 4} {
+		if got := render(w); !bytes.Equal(a, got) {
+			t.Fatalf("reports differ between solver workers 1 and %d:\n%s", w, firstDiff(a, got))
+		}
 	}
 }
 
@@ -195,8 +203,7 @@ func TestCampaignLazyRecoversL5Touch(t *testing.T) {
 // (game.Batch.SolveEdgeGhost) must reproduce exactly what exploring the
 // instrumented clone produces — winnability, node and transition counts
 // (node numbering mirrors the engine schedule, so ids correspond), and the
-// winning federations themselves — at both the serial and the batched
-// exploration schedule.
+// winning federations themselves — at one and at four workers.
 func TestSharedCoreSolveMatchesPerClone(t *testing.T) {
 	for _, name := range []string{"smartlight", "traingate"} {
 		sys, _, plant, _, err := models.ByName(name, 0)

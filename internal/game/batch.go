@@ -216,28 +216,8 @@ func (b *Batch) explore(s *solver) (*skeleton, error) {
 	if _, err := s.addNode(init); err != nil {
 		return nil, err
 	}
-	if s.workers > 1 {
-		for len(s.exploreQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			frontier := s.exploreQ
-			s.exploreQ = nil
-			if err := s.exploreBatch(frontier); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for len(s.exploreQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			id := s.exploreQ[len(s.exploreQ)-1]
-			s.exploreQ = s.exploreQ[:len(s.exploreQ)-1]
-			if err := s.explore(id); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.exploreAll(); err != nil {
+		return nil, err
 	}
 	return &skeleton{ex: s.ex, nodes: s.nodes, transitions: s.stats.Transitions}, nil
 }

@@ -30,9 +30,8 @@ func TestBatchMatchesSolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, src, err)
 			}
-			// Node numbering depends on the exploration schedule (serial is
-			// depth-first, parallel rounds are breadth-first), so the
-			// reference solve must use the same worker count.
+			// Node numbering is the same at every worker count, so batch
+			// and one-shot node ids line up.
 			sr, err := Solve(sys, f, Options{Algorithm: Backward, Workers: workers, PropagationWorkers: 1})
 			if err != nil {
 				t.Fatal(err)

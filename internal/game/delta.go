@@ -40,7 +40,6 @@ package game
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"tigatest/internal/dbm"
@@ -210,7 +209,7 @@ func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, 
 	} else {
 		s.stats.SkeletonMisses++
 		t0 := time.Now()
-		if ov, err = ghostOverlay(dsk.sk, edgeID, s.workers > 1, b.opts.MaxNodes, b.opts.Cancel); err != nil {
+		if ov, err = ghostOverlay(dsk.sk, edgeID, b.opts.MaxNodes, b.opts.Cancel); err != nil {
 			return nil, err
 		}
 		ov.buildDur = time.Since(t0)
@@ -273,12 +272,8 @@ func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tct
 		} else {
 			mutEx.Max = append([]int(nil), max...)
 		}
-		workers := b.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		t0 := time.Now()
-		dsk, err = deltaReplay(core, mutEx, es, b.sys, workers > 1, b.opts.MaxNodes, b.opts.Cancel)
+		dsk, err = deltaReplay(core, mutEx, es, b.sys, b.opts.MaxNodes, b.opts.Cancel)
 		if err != nil {
 			return nil, sig, false, err
 		}
@@ -310,10 +305,10 @@ func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tct
 // re-exploration, and seeds the dirty cone only when its spliced list
 // actually differs from the base list. Everything else — location-level
 // edits in the vector, or a state only the mutant reaches — is explored
-// with the mutant explorer. The replay mirrors the engine's exploration
-// schedule (serial LIFO, or frontier rounds for parallel solvers), so node
-// numbering and counts match a cold exploration of the mutant exactly.
-func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, base *model.System, parallel bool, maxNodes int, cancel <-chan struct{}) (*deltaSkeleton, error) {
+// with the mutant explorer. The replay mirrors the engine's frontier-round
+// exploration schedule, so node numbering and counts match a cold
+// exploration of the mutant exactly.
+func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, base *model.System, maxNodes int, cancel <-chan struct{}) (*deltaSkeleton, error) {
 	if core.stIndex == nil {
 		core.stIndex = make(map[uint64][]int32, len(core.nodes))
 		core.stHash = make([]uint64, len(core.nodes))
@@ -415,7 +410,6 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	nodes := make([]*node, 0, cap0)
 	baseOf := make([]int32, 0, cap0)
 	dirty := make([]bool, 0, cap0)
-	queue := make([]int, 0, cap0)
 	index := make(map[uint64][]int32, cap0)
 	// coreToDelta maps each core node to its delta counterpart (-1 until
 	// interned). The clean replay resolves successor targets through it in
@@ -466,7 +460,6 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 		nodes = append(nodes, n)
 		baseOf = append(baseOf, base)
 		dirty = append(dirty, false)
-		queue = append(queue, n.id)
 		return n.id, nil
 	}
 	// internCore finds or adds the delta node for a state named by its core
@@ -667,23 +660,11 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	if _, err := intern(init, true); err != nil {
 		return nil, err
 	}
-	if parallel {
-		for len(queue) > 0 {
-			frontier := queue
-			queue = nil
-			for _, id := range frontier {
-				if err := wire(id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		for len(queue) > 0 {
-			id := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if err := wire(id); err != nil {
-				return nil, err
-			}
+	// Frontier rounds wire nodes in id order: each round's discoveries are
+	// numbered after every node of the round itself.
+	for id := 0; id < len(nodes); id++ {
+		if err := wire(id); err != nil {
+			return nil, err
 		}
 	}
 	return &deltaSkeleton{

@@ -1,17 +1,16 @@
-// Parallel solve engine: a sharded, hash-interned node store plus a
-// worker pool that parallelizes forward exploration of the zone graph.
+// Solve engine: a sharded, hash-interned node store plus a worker pool
+// that explores the zone graph in frontier rounds.
 //
 // Successor computation (the expensive, pure part: firing every edge,
 // canonicalizing zones, extrapolating) runs on Options.Workers goroutines;
 // graph wiring stays sequential, so node numbering and the exploration
-// rounds are identical for any Workers >= 2. Backward propagation runs as
-// parallel bottom-up passes over the SCC condensation of the explored
-// graph (scc.go, propagate.go) on Options.PropagationWorkers goroutines;
-// the win-set fixpoint is a unique least fixpoint, so every worker count
-// produces winning sets semantically equal to the serial engine's (zone
-// decompositions may differ run to run). Workers == 1 bypasses this file
-// entirely and reproduces the original serial schedule. See DESIGN.md for
-// the full protocol.
+// rounds are identical for every worker count. Backward propagation runs
+// as bottom-up passes over the SCC condensation of the explored graph
+// (scc.go, propagate.go) on Options.PropagationWorkers goroutines; the
+// win-set fixpoint is a unique least fixpoint, so every worker count
+// produces semantically equal winning sets (zone decompositions may differ
+// run to run above one propagation worker). See DESIGN.md for the full
+// protocol.
 
 package game
 
@@ -130,11 +129,16 @@ type exploreTask struct {
 	err   error
 }
 
-// exploreBatch explores every frontier node with the worker pool, then
-// wires results into the graph in deterministic (frontier order, successor
-// order) order: new nodes are numbered on the sequential side, so node ids
-// do not depend on worker timing. Per-worker Stats are merged at the end.
-func (s *solver) exploreBatch(frontier []int) error {
+// exploreBatch explores the current frontier (every node on s.exploreQ)
+// with the worker pool, then wires results into the graph in deterministic
+// (frontier order, successor order) order: new nodes are numbered on the
+// sequential side and form the next frontier, so node ids do not depend on
+// worker timing. Per-worker Stats are merged at the end. Its wall-clock is
+// charged to Stats.ExploreDuration here, so every caller is attributed.
+func (s *solver) exploreBatch() error {
+	defer func(t0 time.Time) { s.stats.ExploreDuration += time.Since(t0) }(time.Now())
+	frontier := s.exploreQ
+	s.exploreQ = nil
 	tasks := make([]exploreTask, len(frontier))
 	workers := s.workers
 	if workers > len(frontier) {
@@ -218,40 +222,44 @@ func (s *solver) exploreOne(id int, buf []symbolic.Succ, wst *Stats) ([]symbolic
 	return succs, t
 }
 
-// runParallelBackward is the Workers >= 2 Backward algorithm: phase 1
-// explores the full zone graph in parallel rounds; phase 2 runs the
-// SCC-condensed bottom-up fixpoint (propagate.go) seeded with every node —
-// exploreBatch scheduled each explored node exactly once, so the global
-// re-evaluation queue already IS the full seed set. Solving components to
-// local convergence in reverse topological order reaches the global least
-// fixpoint in a single pass over the condensation.
-func (s *solver) runParallelBackward() error {
-	t0 := time.Now()
+// exploreAll explores the zone graph to exhaustion in frontier rounds:
+// every node registered so far is explored in one exploreBatch call, the
+// nodes it discovers form the next frontier.
+func (s *solver) exploreAll() error {
 	for len(s.exploreQ) > 0 {
 		if err := s.checkBudget(); err != nil {
 			return err
 		}
-		frontier := s.exploreQ
-		s.exploreQ = nil
-		if err := s.exploreBatch(frontier); err != nil {
+		if err := s.exploreBatch(); err != nil {
 			return err
 		}
 	}
-	s.stats.ExploreDuration += time.Since(t0)
+	return nil
+}
+
+// runBackward is the Backward algorithm: phase 1 explores the full zone
+// graph; phase 2 runs the SCC-condensed bottom-up fixpoint (propagate.go)
+// seeded with every node — exploreBatch scheduled each explored node
+// exactly once, so the global re-evaluation queue already IS the full seed
+// set. Solving components to local convergence in reverse topological
+// order reaches the global least fixpoint in a single pass over the
+// condensation.
+func (s *solver) runBackward() error {
+	if err := s.exploreAll(); err != nil {
+		return err
+	}
 	seeds := s.reevalQ
 	s.reevalQ = nil
 	return s.propagate(seeds, false)
 }
 
-// runParallelOnTheFly is the Workers >= 2 on-the-fly algorithm: batched
-// rounds that alternate a full parallel exploration of the current
-// frontier with a parallel SCC propagation pass over the incremental
-// condensation of the graph explored so far, seeded with this round's
-// scheduled nodes (propagate.go). Early termination is checked inside the
-// pass whenever the initial node's winning set grows and again between
-// rounds; relative to the serial schedule it fires at a coarser
-// granularity, which affects effort, never the answer.
-func (s *solver) runParallelOnTheFly() error {
+// runOnTheFly is the on-the-fly algorithm: batched rounds that alternate a
+// full exploration of the current frontier with an SCC propagation pass
+// over the incremental condensation of the graph explored so far, seeded
+// with this round's scheduled nodes (propagate.go). Early termination is
+// checked inside the pass whenever the initial node's winning set grows
+// and again between rounds.
+func (s *solver) runOnTheFly() error {
 	for len(s.exploreQ) > 0 || len(s.reevalQ) > 0 {
 		if len(s.reevalQ) > 0 {
 			if err := s.checkBudget(); err != nil {
@@ -272,9 +280,7 @@ func (s *solver) runParallelOnTheFly() error {
 		if err := s.checkBudget(); err != nil {
 			return err
 		}
-		frontier := s.exploreQ
-		s.exploreQ = nil
-		if err := s.exploreBatch(frontier); err != nil {
+		if err := s.exploreBatch(); err != nil {
 			return err
 		}
 	}

@@ -13,12 +13,11 @@
 // graph by pure graph replay — no zone is ever recomputed — and runs the
 // ordinary per-purpose backward fixpoint on it.
 //
-// The replay mirrors the engine's exploration schedule (serial LIFO for
-// Workers == 1, frontier rounds for Workers >= 2), so node numbering,
-// successor/predecessor order, and node/transition counts are identical to
-// what exploring the instrumented clone would have produced — the solve is
-// the same computation on the same graph, byte-for-byte, minus the
-// exploration cost.
+// The replay mirrors the engine's frontier-round exploration schedule, so
+// node numbering, successor/predecessor order, and node/transition counts
+// are identical to what exploring the instrumented clone would have
+// produced — the solve is the same computation on the same graph,
+// byte-for-byte, minus the exploration cost.
 
 package game
 
@@ -51,10 +50,10 @@ type overlayKey struct {
 // of the same extrapolation signature) is split into the two-layer ghost
 // overlay and the backward fixpoint runs on that. The result, including
 // node numbering and statistics, is identical to NewBatch(inst).Solve(f,
-// coop) at the same worker count; Stats additionally reports the core
-// skeleton reuse in SkeletonCoreHits/SkeletonCoreMisses, while
-// SkeletonHits/SkeletonMisses track the per-edge overlay (shared between
-// the strict and cooperative solve of one goal).
+// coop); Stats additionally reports the core skeleton reuse in
+// SkeletonCoreHits/SkeletonCoreMisses, while SkeletonHits/SkeletonMisses
+// track the per-edge overlay (shared between the strict and cooperative
+// solve of one goal).
 //
 // inst must differ from the batch system only by the appended variable and
 // the watched edge's extra assignment (campaign.instrumentEdge's
@@ -91,7 +90,7 @@ func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID
 		s.stats.SkeletonMisses++
 		var err error
 		t0 := time.Now()
-		if ov, err = ghostOverlay(core, edgeID, s.workers > 1, b.opts.MaxNodes, b.opts.Cancel); err != nil {
+		if ov, err = ghostOverlay(core, edgeID, b.opts.MaxNodes, b.opts.Cancel); err != nil {
 			return nil, err
 		}
 		ov.buildDur = time.Since(t0)
@@ -118,12 +117,10 @@ func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID
 // instrumented system work unchanged; zones and location vectors are
 // shared with the core, never copied.
 //
-// parallel selects the engine schedule to mirror: false replays the serial
-// LIFO exploration order, true the frontier-round order of the batched
-// engine — node ids then match what exploring the instrumented clone at
-// the same worker count would have assigned. cancel aborts the replay with
-// ErrCanceled (polled every 4096 added nodes).
-func ghostOverlay(core *skeleton, edgeID int, parallel bool, maxNodes int, cancel <-chan struct{}) (*skeleton, error) {
+// The replay walks the frontier rounds of the engine, so node ids match
+// what exploring the instrumented clone would have assigned. cancel aborts
+// the replay with ErrCanceled (polled every 4096 added nodes).
+func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct{}) (*skeleton, error) {
 	watched := func(t *symbolic.Transition) bool {
 		for _, e := range t.Edges {
 			if e.ID == edgeID {
@@ -142,7 +139,6 @@ func ghostOverlay(core *skeleton, edgeID int, parallel bool, maxNodes int, cance
 		nodes       []*node
 		skelOf      []int
 		layerOf     []int8
-		queue       []int
 		transitions int
 	)
 	add := func(skel, layer int) (int, error) {
@@ -167,7 +163,6 @@ func ghostOverlay(core *skeleton, edgeID int, parallel bool, maxNodes int, cance
 		nodes = append(nodes, n)
 		skelOf = append(skelOf, skel)
 		layerOf = append(layerOf, int8(layer))
-		queue = append(queue, n.id)
 		return n.id, nil
 	}
 	// wire replays the exploration of one overlay node from its core
@@ -199,23 +194,11 @@ func ghostOverlay(core *skeleton, edgeID int, parallel bool, maxNodes int, cance
 	if _, err := add(0, 0); err != nil {
 		return nil, err
 	}
-	if parallel {
-		for len(queue) > 0 {
-			frontier := queue
-			queue = nil
-			for _, id := range frontier {
-				if err := wire(id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		for len(queue) > 0 {
-			id := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if err := wire(id); err != nil {
-				return nil, err
-			}
+	// Frontier rounds wire nodes in id order: each round's discoveries are
+	// numbered after every node of the round itself.
+	for id := 0; id < len(nodes); id++ {
+		if err := wire(id); err != nil {
+			return nil, err
 		}
 	}
 	return &skeleton{ex: core.ex, nodes: nodes, transitions: transitions, layers: layerOf}, nil

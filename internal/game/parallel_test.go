@@ -11,70 +11,86 @@ import (
 	"tigatest/internal/tctl"
 )
 
-// stateKey renders a symbolic state as a comparison key so nodes from two
-// independent solves can be matched regardless of node numbering.
-func stateKey(st *symbolic.State) string {
-	return fmt.Sprintf("%v|%v|%x", st.Locs, st.Vars, st.Zone.Hash())
-}
-
-// winByState maps every node's symbolic state to its win federation.
-func winByState(t *testing.T, res *Result) map[string]*dbm.Federation {
-	t.Helper()
-	m := make(map[string]*dbm.Federation, len(res.debugNodes))
-	for _, n := range res.debugNodes {
-		k := stateKey(n.st)
-		if _, dup := m[k]; dup {
-			t.Fatalf("duplicate symbolic state in node store: %s", k)
-		}
-		m[k] = n.win
-	}
-	return m
-}
-
 // fedsEquivalent compares two win federations semantically. Equals is
 // always the deciding check: the SCC propagation schedule is free to
 // produce different zone decompositions of the same winning set, so
 // neither decomposition hashes nor zone counts may be asserted across
-// engines or worker counts.
+// worker counts.
 func fedsEquivalent(a, b *dbm.Federation) bool {
 	return a.Equals(b)
 }
 
-// checkParallelAgreement solves the same game with the serial engine
-// (Workers 1) and the parallel engine (Workers 8) under both algorithms
-// and asserts identical winnability, state spaces and per-node winning
-// federations.
+// checkSameGraph asserts that two solves of one game built the same graph
+// — node i holds the same state and the same successor list, in the same
+// order, in both — and reached semantically equal winning sets. Wiring is
+// sequential, so this holds for any two worker counts. It also asserts the
+// node store interned every state once (a corrupted zone shows up as a
+// duplicate).
+func checkSameGraph(t *testing.T, what string, a, b *Result) {
+	t.Helper()
+	if a.Winnable != b.Winnable {
+		t.Fatalf("%s: winnable %v vs %v", what, a.Winnable, b.Winnable)
+	}
+	if len(a.debugNodes) != len(b.debugNodes) || a.Stats.Transitions != b.Stats.Transitions {
+		t.Fatalf("%s: graphs differ: %d nodes/%d transitions vs %d/%d", what,
+			len(a.debugNodes), a.Stats.Transitions, len(b.debugNodes), b.Stats.Transitions)
+	}
+	seen := make(map[string]int, len(a.debugNodes))
+	for i := range a.debugNodes {
+		na, nb := a.debugNodes[i], b.debugNodes[i]
+		k := fmt.Sprintf("%v|%v|%x", na.st.Locs, na.st.Vars, na.st.Zone.Hash())
+		if j, dup := seen[k]; dup {
+			t.Fatalf("%s: nodes %d and %d hold the same state", what, j, i)
+		}
+		seen[k] = i
+		if !na.st.EqualTo(nb.st) {
+			t.Fatalf("%s: node %d holds different states", what, i)
+		}
+		if len(na.succs) != len(nb.succs) {
+			t.Fatalf("%s: node %d has %d vs %d successors", what, i, len(na.succs), len(nb.succs))
+		}
+		for j := range na.succs {
+			sa, sb := &na.succs[j], &nb.succs[j]
+			if sa.target != sb.target || !sameEdges(&sa.trans, &sb.trans) {
+				t.Fatalf("%s: node %d successor %d: %s->%d vs %s->%d", what, i, j,
+					sa.trans.Label, sa.target, sb.trans.Label, sb.target)
+			}
+		}
+		if !fedsEquivalent(na.win, nb.win) {
+			t.Errorf("%s: win sets differ at node %d:\n  a: %s\n  b: %s", what, i, na.win, nb.win)
+		}
+	}
+}
+
+// sameEdges reports whether two transitions fire the same edges.
+func sameEdges(a, b *symbolic.Transition) bool {
+	if len(a.Edges) != len(b.Edges) {
+		return false
+	}
+	for i := range a.Edges {
+		if a.Edges[i].ID != b.Edges[i].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// checkParallelAgreement solves the same game at Workers 1 and Workers 8
+// under both algorithms and asserts the same graph, node for node, with
+// semantically equal winning federations.
 func checkParallelAgreement(t *testing.T, env *tctl.ParseEnv, src string) {
 	t.Helper()
 	f := tctl.MustParse(env, src)
 	for _, alg := range []Algorithm{OnTheFly, Backward} {
-		serial, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: 1})
+		one, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: 1})
 		if err != nil {
-			t.Fatalf("%s serial: %v", alg, err)
+			t.Fatalf("%s workers=1: %v", alg, err)
 		}
-		par, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: 8})
+		eight, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: 8})
 		if err != nil {
-			t.Fatalf("%s parallel: %v", alg, err)
+			t.Fatalf("%s workers=8: %v", alg, err)
 		}
-		if serial.Winnable != par.Winnable {
-			t.Fatalf("%s %q: serial winnable=%v, parallel winnable=%v", alg, src, serial.Winnable, par.Winnable)
-		}
-		if serial.Stats.Nodes != par.Stats.Nodes {
-			t.Errorf("%s %q: serial explored %d states, parallel %d", alg, src, serial.Stats.Nodes, par.Stats.Nodes)
-		}
-		sw, pw := winByState(t, serial), winByState(t, par)
-		if len(sw) != len(pw) {
-			t.Fatalf("%s %q: state spaces differ: %d vs %d", alg, src, len(sw), len(pw))
-		}
-		for k, sf := range sw {
-			pf, ok := pw[k]
-			if !ok {
-				t.Fatalf("%s %q: state %s missing from parallel solve", alg, src, k)
-			}
-			if !fedsEquivalent(sf, pf) {
-				t.Errorf("%s %q: win sets differ at %s:\n  serial:   %s\n  parallel: %s", alg, src, k, sf, pf)
-			}
-		}
+		checkSameGraph(t, fmt.Sprintf("%s %q workers 1 vs 8", alg, src), one, eight)
 	}
 }
 
@@ -102,71 +118,52 @@ func TestParallelMatchesSerialTrainGate(t *testing.T) {
 }
 
 // TestParallelMatchesSerialLEP4 runs the benchmark-sized LEP instance
-// (n=4, TP2) through both engines. This size caught a real bug during
+// (n=4, TP2) at Workers 1 and 8. This size caught a real bug during
 // development — a zone shared with a node store entry was returned to the
 // allocator and corrupted the state interning — that the n=3 games were
-// too small to expose, so it stays pinned here (on-the-fly only; the
-// backward fixpoint on this instance is disproportionately slow).
+// too small to expose, so it stays pinned here (on-the-fly only).
 func TestParallelMatchesSerialLEP4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LEP n=4 takes a second")
 	}
 	sys := models.LEP(models.LEPOptions{Nodes: 4})
 	f := tctl.MustParse(models.LEPEnv(sys, 4), models.LEPTP2)
-	serial, err := Solve(sys, f, Options{Workers: 1})
+	one, err := Solve(sys, f, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve(sys, f, Options{Workers: 8})
+	eight, err := Solve(sys, f, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Winnable != par.Winnable || serial.Stats.Nodes != par.Stats.Nodes {
-		t.Fatalf("engines disagree: serial %v/%d states, parallel %v/%d states",
-			serial.Winnable, serial.Stats.Nodes, par.Winnable, par.Stats.Nodes)
-	}
-	sw, pw := winByState(t, serial), winByState(t, par)
-	for k, sf := range sw {
-		if pf, ok := pw[k]; !ok || !fedsEquivalent(sf, pf) {
-			t.Fatalf("win set mismatch at %s", k)
-		}
-	}
+	checkSameGraph(t, "LEP4 TP2 workers 1 vs 8", one, eight)
 }
 
-// TestParallelDeterministic pins what stays deterministic in the parallel
-// engine: exploration and wiring are sequentialized, so any two parallel
-// worker counts produce the same node numbering and state space. The win
-// sets are only semantically equal — the SCC propagation passes solve
-// independent components concurrently, so their zone decompositions depend
-// on the schedule (the fixpoint they converge to does not).
+// TestParallelDeterministic pins what stays deterministic across worker
+// counts: exploration and wiring are sequentialized, so Workers 1, 2 and 8
+// produce the same node numbering and successor order. The win sets are
+// only semantically equal — with several propagation workers the SCC
+// passes solve independent components concurrently, so their zone
+// decompositions depend on the schedule (the fixpoint they converge to
+// does not).
 func TestParallelDeterministic(t *testing.T) {
 	sys := models.LEP(models.LEPOptions{Nodes: 3})
 	f := tctl.MustParse(models.LEPEnv(sys, 3), models.LEPTP2)
-	a, err := Solve(sys, f, Options{Workers: 2})
+	one, err := Solve(sys, f, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(sys, f, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.debugNodes) != len(b.debugNodes) {
-		t.Fatalf("node counts differ: %d vs %d", len(a.debugNodes), len(b.debugNodes))
-	}
-	for i := range a.debugNodes {
-		na, nb := a.debugNodes[i], b.debugNodes[i]
-		if !na.st.EqualTo(nb.st) {
-			t.Fatalf("node %d holds different states across worker counts", i)
+	for _, w := range []int{2, 8} {
+		res, err := Solve(sys, f, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !fedsEquivalent(na.win, nb.win) {
-			t.Fatalf("node %d win sets differ across worker counts:\n  w=2: %s\n  w=8: %s", i, na.win, nb.win)
-		}
+		checkSameGraph(t, fmt.Sprintf("workers 1 vs %d", w), one, res)
 	}
 }
 
-// TestParallelStrategySimulation runs strategies synthesized by the
-// parallel engine through the adversarial concrete-semantics simulator the
-// serial strategies are validated with.
+// TestParallelStrategySimulation runs strategies synthesized at eight
+// workers through the adversarial concrete-semantics simulator.
 func TestParallelStrategySimulation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -196,41 +193,40 @@ func TestParallelStrategySimulation(t *testing.T) {
 			for run := 0; run < 10; run++ {
 				sim := newSimulator(t, res.Strategy, int64(1000+run))
 				if !sim.run(400) {
-					t.Fatalf("run %d: parallel-engine strategy lost the game\ntrace: %s", run, sim.trace.String())
+					t.Fatalf("run %d: workers=8 strategy lost the game\ntrace: %s", run, sim.trace.String())
 				}
 			}
 		})
 	}
 }
 
-// TestParallelRandomGames cross-checks the two engines' winnability answer
-// over a pile of small random games, including early termination.
+// TestParallelRandomGames cross-checks the winnability answer at one and
+// four workers over a pile of small random games, including early
+// termination.
 func TestParallelRandomGames(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	goal := "control: A<> P.C"
 	for iter := 0; iter < 60; iter++ {
 		s := randomGame(rng)
 		f := tctl.MustParse(mkEnv(s), goal)
-		serial, err1 := Solve(s, f, Options{Workers: 1, MaxNodes: 4000})
-		par, err2 := Solve(s, f, Options{Workers: 4, MaxNodes: 4000})
+		one, err1 := Solve(s, f, Options{Workers: 1, MaxNodes: 4000})
+		four, err2 := Solve(s, f, Options{Workers: 4, MaxNodes: 4000})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("iter %d: err1=%v err2=%v", iter, err1, err2)
 		}
-		if serial.Winnable != par.Winnable {
-			t.Fatalf("iter %d: serial=%v parallel=%v", iter, serial.Winnable, par.Winnable)
-		}
+		checkSameGraph(t, fmt.Sprintf("iter %d workers 1 vs 4", iter), one, four)
 		early, err3 := Solve(s, f, Options{Workers: 4, MaxNodes: 4000, EarlyTermination: true})
 		if err3 != nil {
 			t.Fatalf("iter %d: early: %v", iter, err3)
 		}
-		if early.Winnable != serial.Winnable {
-			t.Fatalf("iter %d: early parallel=%v serial=%v", iter, early.Winnable, serial.Winnable)
+		if early.Winnable != one.Winnable {
+			t.Fatalf("iter %d: early workers=4 %v, workers=1 %v", iter, early.Winnable, one.Winnable)
 		}
 	}
 }
 
 // TestWorkersDefault asserts that a zero Workers option solves (using all
-// cores) and agrees with the serial engine.
+// cores) and builds the same graph as one worker.
 func TestWorkersDefault(t *testing.T) {
 	sys := models.SmartLight()
 	f := tctl.MustParse(models.SmartLightEnv(sys), models.SmartLightGoal)
@@ -242,8 +238,5 @@ func TestWorkersDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Winnable != one.Winnable || def.Stats.Nodes != one.Stats.Nodes {
-		t.Fatalf("default workers disagrees with serial: %v/%d vs %v/%d",
-			def.Winnable, def.Stats.Nodes, one.Winnable, one.Stats.Nodes)
-	}
+	checkSameGraph(t, "default vs workers=1", def, one)
 }

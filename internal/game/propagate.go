@@ -16,9 +16,9 @@
 // exactly one worker at a time, successor components are final before a
 // component starts, and predecessor components have not started while it
 // runs. The fixpoint is a unique least fixpoint, so any schedule produces
-// winning sets semantically equal to the serial engine's; the zone
+// semantically equal winning sets; above one worker the zone
 // decompositions (and stamps) may differ run to run, which is why the
-// cross-engine tests compare federations with Equals rather than by hash.
+// cross-worker tests compare federations with Equals rather than by hash.
 
 package game
 

@@ -1,31 +1,29 @@
 package game
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"tigatest/internal/dbm"
 	"tigatest/internal/dsl"
 	"tigatest/internal/models"
 	"tigatest/internal/tctl"
 )
 
 // propagationWorkerCounts is the sweep the semantic-equality suite runs:
-// the serial engine (1) against the SCC-propagation engine at increasing
-// concurrency.
+// one worker against increasing concurrency.
 var propagationWorkerCounts = []int{1, 2, 4, 8}
 
 // checkWinSetsAcrossWorkers solves the same game at every worker count and
-// every algorithm and asserts that the winning sets are semantically equal
-// to the Workers=1 serial engine's — the equality the unique least fixpoint
+// every algorithm and asserts the one-worker graph, node for node, with
+// semantically equal winning sets — the equality the unique least fixpoint
 // guarantees regardless of propagation schedule.
 func checkWinSetsAcrossWorkers(t *testing.T, env *tctl.ParseEnv, src string, algs []Algorithm) {
 	t.Helper()
 	f := tctl.MustParse(env, src)
 	for _, alg := range algs {
 		var ref *Result
-		var refWin map[string]*dbm.Federation
 		for _, w := range propagationWorkerCounts {
 			res, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: w})
 			if err != nil {
@@ -33,29 +31,9 @@ func checkWinSetsAcrossWorkers(t *testing.T, env *tctl.ParseEnv, src string, alg
 			}
 			if ref == nil {
 				ref = res
-				refWin = winByState(t, res)
 				continue
 			}
-			if res.Winnable != ref.Winnable {
-				t.Fatalf("%s %q workers=%d: winnable=%v, serial says %v", alg, src, w, res.Winnable, ref.Winnable)
-			}
-			if res.Stats.Nodes != ref.Stats.Nodes {
-				t.Errorf("%s %q workers=%d: %d states, serial explored %d", alg, src, w, res.Stats.Nodes, ref.Stats.Nodes)
-			}
-			got := winByState(t, res)
-			if len(got) != len(refWin) {
-				t.Fatalf("%s %q workers=%d: state spaces differ: %d vs %d", alg, src, w, len(got), len(refWin))
-			}
-			for k, rf := range refWin {
-				gf, ok := got[k]
-				if !ok {
-					t.Fatalf("%s %q workers=%d: state %s missing", alg, src, w, k)
-				}
-				if !fedsEquivalent(rf, gf) {
-					t.Errorf("%s %q workers=%d: win sets differ at %s:\n  serial:   %s\n  parallel: %s",
-						alg, src, w, k, rf, gf)
-				}
-			}
+			checkSameGraph(t, fmt.Sprintf("%s %q workers 1 vs %d", alg, src, w), ref, res)
 		}
 	}
 }
@@ -104,35 +82,27 @@ func TestPropagationSemanticEqualityModelfiles(t *testing.T) {
 
 // TestPropagationWorkersOption pins Options.PropagationWorkers: exploration
 // and propagation concurrency can be set independently without changing
-// the computed winning sets.
+// the graph or the computed winning sets.
 func TestPropagationWorkersOption(t *testing.T) {
 	sys := models.LEP(models.LEPOptions{Nodes: 3})
 	f := tctl.MustParse(models.LEPEnv(sys, 3), models.LEPTP2)
-	serial, err := Solve(sys, f, Options{Workers: 1})
+	ref, err := Solve(sys, f, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refWin := winByState(t, serial)
 	for _, pw := range []int{1, 2, 8} {
 		res, err := Solve(sys, f, Options{Workers: 4, PropagationWorkers: pw})
 		if err != nil {
 			t.Fatalf("prop-workers=%d: %v", pw, err)
 		}
-		if res.Winnable != serial.Winnable {
-			t.Fatalf("prop-workers=%d: verdict flipped", pw)
-		}
-		got := winByState(t, res)
-		for k, rf := range refWin {
-			if gf, ok := got[k]; !ok || !fedsEquivalent(rf, gf) {
-				t.Fatalf("prop-workers=%d: win set mismatch at %s", pw, k)
-			}
-		}
+		checkSameGraph(t, fmt.Sprintf("prop-workers=%d", pw), ref, res)
 	}
 }
 
-// TestPropagationStatsCounters checks that the parallel engine reports its
-// per-phase effort: a condensation with at least one component, at least
-// one propagation pass, and (for the full-graph backward solve) reevals.
+// TestPropagationStatsCounters checks that the engine reports its
+// per-phase effort at every worker count: a condensation with at least one
+// component, at least one propagation pass, and (for the full-graph
+// backward solve) reevals.
 func TestPropagationStatsCounters(t *testing.T) {
 	sys := models.LEP(models.LEPOptions{Nodes: 3})
 	f := tctl.MustParse(models.LEPEnv(sys, 3), models.LEPTP2)
@@ -150,11 +120,34 @@ func TestPropagationStatsCounters(t *testing.T) {
 	if st.Reevals == 0 || st.Updates == 0 {
 		t.Fatalf("propagation counters empty: %+v", st)
 	}
-	serial, err := Solve(sys, f, Options{Algorithm: Backward, Workers: 1})
+	one, err := Solve(sys, f, Options{Algorithm: Backward, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Stats.SCCs != 0 || serial.Stats.PropagationRounds != 0 || serial.Stats.CrossSCCMessages != 0 {
-		t.Fatalf("serial engine must not report SCC counters: %+v", serial.Stats)
+	if one.Stats.SCCs <= 0 || one.Stats.PropagationRounds <= 0 {
+		t.Fatalf("one worker must run the same SCC propagation: %+v", one.Stats)
+	}
+}
+
+// TestPhaseDurationsOnTheFly pins the phase attribution of an on-the-fly
+// solve: exploration and propagation are both charged, and since they
+// alternate without overlapping, together they fit in the solve's wall
+// clock.
+func TestPhaseDurationsOnTheFly(t *testing.T) {
+	sys := models.LEP(models.LEPOptions{Nodes: 3})
+	f := tctl.MustParse(models.LEPEnv(sys, 3), models.LEPTP2)
+	for _, w := range []int{1, 4} {
+		res, err := Solve(sys, f, Options{Algorithm: OnTheFly, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.ExploreDuration <= 0 || st.PropagateDuration <= 0 {
+			t.Fatalf("workers=%d: phases unattributed: explore %v, propagate %v", w, st.ExploreDuration, st.PropagateDuration)
+		}
+		if st.ExploreDuration+st.PropagateDuration > st.Duration {
+			t.Fatalf("workers=%d: explore %v + propagate %v exceed the solve's %v",
+				w, st.ExploreDuration, st.PropagateDuration, st.Duration)
+		}
 	}
 }

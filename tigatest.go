@@ -140,9 +140,9 @@ func ParseFormula(sys *System, formula string, ranges map[string]Range) (*Formul
 // winning strategy. opts may be nil for defaults. Synthesis explores the
 // zone graph on SolveOptions.Workers goroutines and propagates winning
 // sets bottom-up over the SCC condensation on
-// SolveOptions.PropagationWorkers goroutines (all cores by default;
-// Workers: 1 forces the serial engine); the computed winning sets are
-// semantically identical for every worker count.
+// SolveOptions.PropagationWorkers goroutines (all cores by default); the
+// explored graph is identical for every worker count and the computed
+// winning sets are semantically identical.
 func Synthesize(sys *System, formula string, ranges map[string]Range, opts ...SolveOptions) (*SolveResult, error) {
 	f, err := ParseFormula(sys, formula, ranges)
 	if err != nil {
