@@ -68,10 +68,10 @@ func BuildIUTs(sys *model.System, opts *Options, lazyRow bool) ([]*IUTRow, error
 
 // Execute runs every (entry × row) cell on Options.Workers goroutines and
 // returns the tally matrix indexed [row][entry]. It adds the executed
-// cells, by consultant kind, to suite.Stats. Cells only read the
-// shared strategies and build per-run IUT instances, so any schedule
-// produces the same matrix; results are stored by index, keeping reports
-// deterministic.
+// cells, by consultant kind, and the fast-forwarded runs to suite.Stats.
+// Cells only read the shared strategies and build per-run IUT instances,
+// so any schedule produces the same matrix; results are stored by index,
+// keeping reports deterministic.
 func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 	matrix := make([][]CellTally, len(rows))
 	type task struct{ row, entry int }
@@ -90,7 +90,7 @@ func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 	if workers < 1 {
 		workers = 1
 	}
-	var cursor, compiled, interpreted atomic.Int64
+	var cursor, compiled, interpreted, fastForwarded atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -128,11 +128,13 @@ func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 				} else {
 					matrix[t.row][t.entry] = runner.RunCell(rows[t.row].Factory, opts.Repeats, cellSeed)
 				}
+				fastForwarded.Add(int64(matrix[t.row][t.entry].FastForwarded))
 			}
 		}()
 	}
 	wg.Wait()
 	suite.Stats.CompiledCells += int(compiled.Load())
 	suite.Stats.InterpretedCells += int(interpreted.Load())
+	suite.Stats.FastForwardedRuns += int(fastForwarded.Load())
 	return matrix
 }

@@ -138,6 +138,11 @@ type PlanStats struct {
 	// byte-identical reports, so only these counters show which path ran.
 	CompiledCells    int `json:"compiled_cells"`
 	InterpretedCells int `json:"interpreted_cells"`
+	// FastForwardedRuns counts the matrix runs that ended at a repeated
+	// configuration instead of stepping to the budget (Execute).
+	// The verdicts, reasons and traces are the same either way, so only
+	// this counter shows that the shortcut ran.
+	FastForwardedRuns int `json:"fast_forwarded_runs"`
 	// Solver phase wall-clock totals in nanoseconds (game.Stats phase
 	// timings summed over every per-goal solve; volatile by nature). When
 	// solves are served from an external cache, the producing solve's

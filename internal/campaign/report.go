@@ -316,7 +316,7 @@ func (r *Report) Render(w io.Writer) {
 		if ps := r.Volatile.Planning; ps != nil {
 			fmt.Fprintf(w, "  planning: %d solves, core skeleton %d hits / %d misses, skeleton %d hits / %d misses\n",
 				ps.Solves, ps.SkeletonCoreHits, ps.SkeletonCoreMisses, ps.SkeletonHits, ps.SkeletonMisses)
-			fmt.Fprintf(w, "  cells: %d compiled, %d interpreted\n", ps.CompiledCells, ps.InterpretedCells)
+			fmt.Fprintf(w, "  cells: %d compiled, %d interpreted; %d runs fast-forwarded\n", ps.CompiledCells, ps.InterpretedCells, ps.FastForwardedRuns)
 		}
 	}
 }

@@ -69,6 +69,9 @@ type CellTally struct {
 	// Reasons counts runs per "verdict: reason" key, sorted by key for
 	// deterministic reports.
 	Reasons []ReasonCount
+	// FastForwarded counts the runs that ended at a repeated
+	// configuration (texec.Result.FastForwarded); reports leave it out.
+	FastForwarded int
 }
 
 // ReasonCount is one verdict reason with its multiplicity.
@@ -115,6 +118,9 @@ func (r *Runner) RunCell(factory IUTFactory, repeats int, seed int64) CellTally 
 			tally.Incon++
 		}
 		reasons[res.Verdict.String()+": "+res.Reason]++
+		if res.FastForwarded {
+			tally.FastForwarded++
+		}
 	}
 	keys := make([]string, 0, len(reasons))
 	for k := range reasons {

@@ -142,6 +142,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseDuplicateNames: a name declared twice is a parse error with a
+// line number, never a panic from the model builder.
+func TestParseDuplicateNames(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"system s\nclock x, y\nclock x\n", "dsl: line 3: duplicate clock x"},
+		{"system s\nchan a : input\nchan b, a : output\n", "dsl: line 3: duplicate channel a"},
+		{"system s\nchan a, a : input\n", "dsl: line 2: duplicate channel a"},
+		{"system s\nprocess P { location A }\nprocess P { location B }\n", "dsl: line 3: duplicate process P"},
+		{"system s\nprocess A { location U\nlocation U }", "dsl: line 3: duplicate location U in A"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestCommentsAndBlankLines(t *testing.T) {
 	src := `
 // leading comment

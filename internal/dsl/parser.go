@@ -2,6 +2,7 @@ package dsl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"tigatest/internal/dbm"
@@ -164,6 +165,9 @@ func (p *parser) clockDecl() error {
 		if err != nil {
 			return err
 		}
+		if _, dup := p.clockByName(name); dup {
+			return fmt.Errorf("duplicate clock %s", name)
+		}
 		p.file_.Sys.AddClock(name)
 		if !p.accept(",") {
 			break
@@ -243,6 +247,9 @@ func (p *parser) chanDecl() error {
 		if err != nil {
 			return err
 		}
+		if _, dup := p.file_.Sys.ChannelByName(name); dup || slices.Contains(names, name) {
+			return fmt.Errorf("duplicate channel %s", name)
+		}
 		names = append(names, name)
 		if !p.accept(",") {
 			break
@@ -301,6 +308,9 @@ func (p *parser) processDecl() error {
 	name, err := p.ident()
 	if err != nil {
 		return err
+	}
+	if _, dup := p.file_.Sys.ProcByName(name); dup {
+		return fmt.Errorf("duplicate process %s", name)
 	}
 	proc := p.file_.Sys.AddProcess(name)
 	if err := p.expect("{"); err != nil {
@@ -374,6 +384,9 @@ func (p *parser) locationDecl(proc *model.Process) error {
 	name, err := p.ident()
 	if err != nil {
 		return err
+	}
+	if _, dup := proc.LocByName(name); dup {
+		return fmt.Errorf("duplicate location %s in %s", name, proc.Name)
 	}
 	loc := model.Location{Name: name}
 	if p.accept("{") {

@@ -23,6 +23,7 @@ package model
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tigatest/internal/dbm"
 	"tigatest/internal/expr"
@@ -196,6 +197,9 @@ type System struct {
 	Procs    []*Process
 
 	nextEdgeID int
+	// ceilings caches ClockCeilings results: an immutable list, replaced
+	// wholesale on a miss.
+	ceilings atomic.Pointer[[]ceilingEntry]
 }
 
 // NewSystem creates an empty system.

@@ -4,7 +4,16 @@
 // let virtual time pass, and every observed output and delay is checked
 // against the specification through the tioco monitor. Reaching the test
 // purpose yields pass, a tioco violation yields fail; cooperative
-// strategies (and internal errors) may end inconclusive.
+// strategies (and internal errors) may end inconclusive, and so does a run
+// that spends its step budget.
+//
+// Early end: when the IUT implements tiots.Snapshotter, Run ends a run at
+// a step whose configuration — strategy node, stamp bound, exact
+// strategy valuation, IUT and monitor encodings — equals an earlier one.
+// Every step between the two repeats to the budget and none ended the
+// run, so the Result is the one stepping to the budget gives ("step
+// budget exhausted", Steps = MaxSteps, the full periodic trace), with
+// FastForwarded set. Other IUTs are stepped in full.
 //
 // Key entry points: Run drives one strategy consultant (the interpreted
 // game.Strategy or a compiled game.CompiledStrategy) against one tiots.IUT
@@ -18,6 +27,8 @@ package texec
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"tigatest/internal/game"
 	"tigatest/internal/model"
@@ -67,6 +78,10 @@ type Result struct {
 	Reason  string
 	Trace   tiots.Trace
 	Steps   int
+	// FastForwarded reports that the run ended at a repeated
+	// configuration; every other field is what stepping to the budget
+	// gives.
+	FastForwarded bool
 }
 
 func (r Result) String() string {
@@ -136,12 +151,32 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 		return nil, true
 	}
 
+	// A snapshotting IUT lets the run end at a repeated
+	// configuration (see cycle).
+	snap, _ := iut.(tiots.Snapshotter)
+	var cyc *cycle
+	if snap != nil {
+		cyc = cycles.Get().(*cycle)
+		*cyc = cycle{key: cyc.key[:0], check: cyc.check[:0], marks: cyc.marks[:0], power: 1}
+		defer cycles.Put(cyc)
+	}
+
 	for steps := 0; steps < opts.MaxSteps; steps++ {
 		if opts.Cancel != nil {
 			select {
 			case <-opts.Cancel:
 				return inconclusive("canceled", steps)
 			default:
+			}
+		}
+		if cyc != nil {
+			key := append(cyc.key[:0], int64(node), int64(bound))
+			key = append(key, val...)
+			key = snap.AppendSnapshot(key)
+			cyc.key = mon.AppendSnapshot(key)
+			if cyc.repeated(steps, len(trace)) {
+				return Result{Verdict: Inconclusive, Reason: "step budget exhausted",
+					Trace: cyc.unroll(trace, opts.MaxSteps), Steps: opts.MaxSteps, FastForwarded: true}
 			}
 		}
 		if strat.InGoal(node, val, scale) {
@@ -211,6 +246,61 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 		}
 	}
 	return inconclusive("step budget exhausted", opts.MaxSteps)
+}
+
+// cycle detects a repeated configuration of a run with Brent's
+// algorithm. The configuration at the top of a step — strategy node,
+// stamp bound, exact strategy valuation, then the IUT's and the monitor's
+// canonical encodings — determines everything the run does from there on.
+// So when it equals the configuration at an earlier step, the run repeats
+// the steps in between until the budget is spent, and none of them ended
+// it: the verdict is "step budget exhausted" and the trace is periodic.
+//
+// key is the configuration being checked and check the one at the
+// checkpoint step ckStep; marks[j] is the trace length at the top of step
+// ckStep+j. The checkpoint moves to the current step whenever power steps
+// have passed since it, doubling power, so a cycle of period p entered at
+// step m is found within O(m+p) steps, without hashing and with two keys
+// of memory. Runs draw their cycle from a pool, so steps allocate nothing.
+type cycle struct {
+	key, check []int64
+	marks      []int
+	ckStep     int
+	power      int
+}
+
+var cycles = sync.Pool{New: func() any { return new(cycle) }}
+
+// repeated reports whether key, the configuration at the top of step,
+// equals the checkpoint's, and otherwise records the step.
+func (c *cycle) repeated(step, traceLen int) bool {
+	if step > 0 && slices.Equal(c.key, c.check) {
+		return true
+	}
+	if step == 0 || step-c.ckStep == c.power {
+		if step > 0 {
+			c.power *= 2
+		}
+		c.key, c.check, c.ckStep, c.marks = c.check, c.key, step, c.marks[:0]
+	}
+	c.marks = append(c.marks, traceLen)
+	return false
+}
+
+// unroll returns the trace of a run whose steps since the checkpoint
+// repeat until maxSteps: trace ends with one period (the events of those
+// steps), so the result is the prefix before the checkpoint, the period
+// n/p times and the events of the first n%p steps of one more, for the
+// n steps from the checkpoint to the budget and period p.
+func (c *cycle) unroll(trace tiots.Trace, maxSteps int) tiots.Trace {
+	n, p, start := maxSteps-c.ckStep, len(c.marks), c.marks[0]
+	period := len(trace) - start
+	full, rest := n/p, c.marks[n%p]-start
+	out := slices.Grow(trace, (full-1)*period+rest)
+	for i := 1; i < full; i++ {
+		out = append(out, trace[start:]...)
+	}
+	return append(out, trace[start:start+rest]...)
 }
 
 // GuessPlantProcs returns the processes that emit on uncontrollable

@@ -8,11 +8,14 @@ import (
 
 // TestMonitorStepAllocations pins the monitor's steady state on
 // smartlight: once a hypothesis has been recycled, Delay, Input and Output
-// allocate nothing — no per-step trace strings, no state keys, no clones.
+// allocate nothing — no per-step trace strings, no state keys, no clones —
+// and neither does encoding the hypotheses into a reused key.
 func TestMonitorStepAllocations(t *testing.T) {
 	m, ch := lightMonitor(t)
 	const sc = tiots.Scale
+	var key []int64
 	cycle := func() {
+		key = m.AppendSnapshot(key[:0])
 		err := firstErr(
 			m.Input(ch["touch"]), // Off → L1
 			m.Delay(sc/2),

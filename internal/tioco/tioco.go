@@ -65,6 +65,7 @@ type Monitor struct {
 	free   []*state    // dropped hypotheses, reused by fire
 	trace  tiots.Trace // observed trace
 	ctx    expr.Ctx    // guard and assignment evaluation context
+	ceil   []int64     // clock ceilings over the plant processes
 }
 
 // NewMonitor builds a monitor for the plant processes of the specification.
@@ -82,7 +83,7 @@ func NewMonitor(sys *model.System, plantProcs []int, scale int64) (*Monitor, err
 			}
 		}
 	}
-	m := &Monitor{sys: sys, plant: plantProcs, scale: scale}
+	m := &Monitor{sys: sys, plant: plantProcs, scale: scale, ceil: sys.ClockCeilings(plantProcs, scale)}
 	m.Reset()
 	return m, nil
 }
@@ -104,6 +105,28 @@ func (m *Monitor) Reset() {
 // StateCount returns the number of live hypotheses (1 for deterministic
 // specifications).
 func (m *Monitor) StateCount() int { return len(m.states) }
+
+// AppendSnapshot appends a canonical encoding of the hypothesis list to
+// key: the hypothesis count, then per hypothesis in order its plant
+// locations, variables and clocks clamped to their ceilings over the plant
+// processes. Monitors whose encodings are equal hold the same hypotheses
+// up to clock values no plant constraint tells apart, so they accept and
+// reject the same future moves.
+func (m *Monitor) AppendSnapshot(key []int64) []int64 {
+	key = append(key, int64(len(m.states)))
+	for _, s := range m.states {
+		for _, l := range s.locs {
+			key = append(key, int64(l))
+		}
+		for _, v := range s.vars {
+			key = append(key, int64(v))
+		}
+		for i, v := range s.val {
+			key = append(key, model.Clamp(v, m.ceil[i]))
+		}
+	}
+	return key
+}
 
 // Trace returns the observed trace rendered for diagnostics.
 func (m *Monitor) Trace() string { return m.trace.Format(m.sys, m.scale) }

@@ -378,20 +378,32 @@ type Seeder interface {
 	Seed(seed int64)
 }
 
+// Snapshotter is implemented by IUTs whose complete configuration has a
+// canonical encoding: two configurations that encode alike answer every
+// future Offer and Advance alike and move to configurations that again
+// encode alike. Test execution uses it to end a run at a repeated
+// configuration; IUTs that do not implement it (remote adapters, wrappers)
+// are stepped in full.
+type Snapshotter interface {
+	// AppendSnapshot appends the encoding of the current configuration to
+	// key and returns the extended slice.
+	AppendSnapshot(key []int64) []int64
+}
+
 // DetIUT interprets a network as a deterministic implementation driven by
-// a DetPolicy. It satisfies IUT.
+// a DetPolicy. It satisfies IUT and Snapshotter.
 //
 // A step allocates nothing beyond the *Output it returns: enabled
 // transitions are enumerated once per state into reused buffers, and the
-// output windows are keyed by comparable transKey structs in two maps that
-// swap roles on every refresh.
+// output windows live in two slices that swap roles on every refresh.
 type DetIUT struct {
 	ip     *Interp
 	policy *DetPolicy
-	// enabledFor tracks, per enabled uncontrollable transition, how long its
-	// guard has been enabled (to implement Offset). refreshWindows fills
-	// spare and swaps the two.
-	enabledFor, spare map[transKey]int64
+	// windows tracks, per enabled uncontrollable transition, how long its
+	// guard has been enabled (to implement Offset), in the enumeration
+	// order of the current state. refreshWindows fills spare and swaps the
+	// two.
+	windows, spare []window
 	// enabled and edges are enabledNow's reused buffers; enabled holds the
 	// current state's transitions while fresh is set.
 	enabled []EnabledTransition
@@ -400,6 +412,14 @@ type DetIUT struct {
 	// fired holds the edges of the output scheduledOutput picked, which
 	// must outlive the enabledNow calls made before Advance takes it.
 	fired [2]*model.Edge
+	// ceil holds the network's clock ceilings (model.ClockCeilings).
+	ceil []int64
+}
+
+// window is one open output window and its age in ticks.
+type window struct {
+	k   transKey
+	age int64
 }
 
 // transKey identifies an enabled transition across steps: its channel and
@@ -419,12 +439,31 @@ func keyOf(t EnabledTransition) transKey {
 // NewDetIUT builds a deterministic implementation from a network (usually
 // the plant part of a specification, or a mutated copy).
 func NewDetIUT(sys *model.System, scale int64, policy *DetPolicy) *DetIUT {
-	return &DetIUT{
-		ip:         NewInterp(sys, scale),
-		policy:     policy,
-		enabledFor: map[transKey]int64{},
-		spare:      map[transKey]int64{},
+	ip := NewInterp(sys, scale)
+	return &DetIUT{ip: ip, policy: policy, ceil: sys.ClockCeilings(nil, ip.Scale)}
+}
+
+// AppendSnapshot implements Snapshotter. The encoding holds the locations,
+// the variables, every clock clamped to its ceiling and the output windows
+// with their exact ages. Every state change refreshes the windows, so they
+// are in the enumeration order of the current state, which configurations
+// that encode alike up to the windows share: no sort is needed.
+func (d *DetIUT) AppendSnapshot(key []int64) []int64 {
+	st := d.ip.St
+	for _, l := range st.Locs {
+		key = append(key, int64(l))
 	}
+	for _, v := range st.Vars {
+		key = append(key, int64(v))
+	}
+	for i, v := range st.Val {
+		key = append(key, model.Clamp(v, d.ceil[i]))
+	}
+	key = append(key, int64(len(d.windows)))
+	for _, w := range d.windows {
+		key = append(key, int64(w.k.ch), int64(w.k.e0), int64(w.k.e1), w.age)
+	}
+	return key
 }
 
 // State exposes the current concrete state (tests only).
@@ -437,7 +476,17 @@ func (d *DetIUT) Interp() *Interp { return d.ip }
 func (d *DetIUT) Reset() {
 	d.ip.Reset()
 	d.fresh = false
-	clear(d.enabledFor)
+	d.windows = d.windows[:0]
+}
+
+// windowAge returns the age of the open window of the transition keyed k.
+func (d *DetIUT) windowAge(k transKey) (int64, bool) {
+	for _, w := range d.windows {
+		if w.k == k {
+			return w.age, true
+		}
+	}
+	return 0, false
 }
 
 // enabledNow returns the transitions enabled in the current state,
@@ -478,20 +527,19 @@ func (d *DetIUT) Offer(chanIdx int) error {
 // discrete step: a window still open ages by dt, a newly opened one starts
 // at age 0 and a closed one is dropped.
 func (d *DetIUT) refreshWindows(dt int64) {
-	next := d.spare
-	clear(next)
+	next := d.spare[:0]
 	for _, t := range d.enabledNow() {
 		if t.Kind != model.Uncontrollable {
 			continue
 		}
 		k := keyOf(t)
-		if age, ok := d.enabledFor[k]; ok {
-			next[k] = age + dt
-		} else {
-			next[k] = 0
+		age, ok := d.windowAge(k)
+		if ok {
+			age += dt
 		}
+		next = append(next, window{k, age})
 	}
-	d.enabledFor, d.spare = next, d.enabledFor
+	d.windows, d.spare = next, d.windows
 }
 
 // scheduledOutput returns the next output due within d ticks: the enabled
@@ -515,7 +563,7 @@ func (d *DetIUT) scheduledOutput(dl int64) (EnabledTransition, int64, bool) {
 		var due int64
 		if d.policy != nil && d.policy.Lazy && !explicit {
 			// Fire at window close. due is relative to now (the clocks have
-			// aged), so no enabledFor subtraction applies; windows nothing
+			// aged), so no window age subtraction applies; windows nothing
 			// closes stay quiescent.
 			close, bounded := d.windowCloseIn(t)
 			if !bounded {
@@ -523,7 +571,8 @@ func (d *DetIUT) scheduledOutput(dl int64) (EnabledTransition, int64, bool) {
 			}
 			due = close
 		} else {
-			due = dec.Offset - d.enabledFor[keyOf(t)]
+			age, _ := d.windowAge(keyOf(t))
+			due = dec.Offset - age
 		}
 		if due < 0 {
 			due = 0

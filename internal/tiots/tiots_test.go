@@ -1,6 +1,7 @@
 package tiots
 
 import (
+	"fmt"
 	"testing"
 
 	"tigatest/internal/expr"
@@ -398,5 +399,30 @@ func TestCommittedPreemption(t *testing.T) {
 	}
 	if ip.MaxDelay(10) != 0 {
 		t.Fatal("committed location must freeze time")
+	}
+}
+
+// TestDetIUTSnapshotClampsAboveCeiling: configurations that differ only in
+// clock values above the clock's ceiling (5 for beeper's w) encode alike;
+// a value at the ceiling or a different location does not.
+func TestDetIUTSnapshotClampsAboveCeiling(t *testing.T) {
+	s, press, _ := beeper()
+	snapshot := func(steps ...func(*DetIUT)) string {
+		iut := NewDetIUT(s, Scale, nil)
+		for _, step := range steps {
+			step(iut)
+		}
+		return fmt.Sprint(iut.AppendSnapshot(nil))
+	}
+	wait := func(d int64) func(*DetIUT) { return func(iut *DetIUT) { iut.Advance(d) } }
+	offer := func(iut *DetIUT) { iut.Offer(press) }
+	if a, b := snapshot(wait(6*Scale)), snapshot(wait(60*Scale)); a != b {
+		t.Errorf("w above its ceiling must be clamped: %s vs %s", a, b)
+	}
+	if a, b := snapshot(wait(5*Scale)), snapshot(wait(5*Scale+1)); a == b {
+		t.Errorf("w at its ceiling and above it must differ: both %s", a)
+	}
+	if a, b := snapshot(wait(6*Scale)), snapshot(wait(6*Scale), offer); a == b {
+		t.Errorf("Idle and Armed must differ: both %s", a)
 	}
 }
