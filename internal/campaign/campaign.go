@@ -75,11 +75,6 @@ type Options struct {
 	// every run dials its own connection, so the server must accept
 	// concurrent sessions (adapter.ServeFactory).
 	RemoteAddr string
-	// DisableLazyRetry skips the lazy-determinization retry of ungranted
-	// goals (outputs at window close; see StatusRecovered). Off by default:
-	// the retry only ever recovers coverage the eager conformant
-	// implementation raced past.
-	DisableLazyRetry bool
 	// DisableSharedCore solves every edge goal on its own freshly explored
 	// ghost-instrumented clone (the per-clone baseline) instead of splitting
 	// the shared batch's core skeleton into per-edge ghost overlays
@@ -102,14 +97,6 @@ type Options struct {
 	// the service layer to route campaign planning through its
 	// content-addressed strategy cache.
 	SolveVia func(key SolveKey, solve func() (*game.Result, error)) (*game.Result, error)
-	// DisableIncremental solves every mutant-analysis purpose on a freshly
-	// explored merged-maxima skeleton of the mutant instead of replaying
-	// the shared core's clean states and re-exploring only the dirty cone
-	// (game.Batch.SolveDelta). Both paths compute the same fixpoint on the
-	// same graph, so the report is byte-identical either way — only
-	// analysis time changes. Exists for the E10 ablation and as an escape
-	// hatch; it is forwarded to Solver.DisableIncremental.
-	DisableIncremental bool
 	// DisableCompile executes every run through the interpreted
 	// Strategy.MoveAt instead of the compiled decision tables (ablation
 	// E8). Compilation is decision-equivalent, so the report is
@@ -151,9 +138,6 @@ func (o *Options) withDefaults(sys *model.System) Options {
 	}
 	if opts.Repeats <= 0 {
 		opts.Repeats = 1
-	}
-	if opts.DisableIncremental {
-		opts.Solver.DisableIncremental = true
 	}
 	if opts.Solver.PropagationWorkers == 0 {
 		// The default must keep reports byte-reproducible: propagation

@@ -484,7 +484,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 			continue
 		}
 		m, ok := misses[pg.Name]
-		if ok && m.status == StatusUngranted && !opts.DisableLazyRetry {
+		if ok && m.status == StatusUngranted {
 			if by := lazyCoveredBy(pg.Goal); by >= 0 {
 				pg.Status, pg.By = StatusRecovered, by
 				pg.Reason = "recovered by the lazy determinization (outputs at window close)"

@@ -12,6 +12,11 @@
 // winning federations. The strict and cooperative games of the paper's
 // Section 3.2 reuse the same skeleton too — cooperativity changes which
 // player owns a transition, never the graph.
+//
+// Every batch entry point is built from the same pieces: one prologue
+// (newSolver), one explorer (exploreSkeleton), one replay builder (replay,
+// overlay.go) behind the ghost overlay and the delta replay, one seeded
+// fixpoint (solveOn) and one bounded cache type (fifo).
 
 package game
 
@@ -40,8 +45,8 @@ type skeleton struct {
 	// layers is non-nil for ghost overlays: the ghost value (0 or 1) per
 	// node. The overlay purpose is by construction "the watched edge has
 	// fired", so per-purpose goals follow from the layer directly (the
-	// whole zone on layer 1, empty on layer 0) and solveOnSkeleton skips
-	// the per-node formula evaluation.
+	// whole zone on layer 1, empty on layer 0) and solveOn skips the
+	// per-node formula evaluation.
 	layers []int8
 	// stIndex is a lazily built content index (state hash -> node ids) used
 	// by delta replay (delta.go) to map a mutant's states back onto this
@@ -66,32 +71,52 @@ type Batch struct {
 	opts   Options
 	graphs map[string]*skeleton
 
-	// Bounded overlay cache (FIFO eviction, overlayCacheCap entries): the
-	// strict and the cooperative game of one edge goal run back to back, so
-	// a single slot would suffice for one planner — but concurrent campaigns
-	// serialized onto one batch (the service) interleave per-goal solves, so
-	// a few slots keep each in-progress goal's overlay alive between its
-	// strict and cooperative solve. Bounded because overlays are retained
-	// graphs (~2x core); re-solving a long-finished goal is the service
-	// strategy cache's job, not this one's.
-	overlays map[overlayKey]*skeleton
-	ovOrder  []overlayKey
+	// Overlay cache: the strict and the cooperative game of one edge goal
+	// run back to back, so a single slot would suffice for one planner —
+	// but concurrent campaigns serialized onto one batch (the service)
+	// interleave per-goal solves, so a few slots keep each in-progress
+	// goal's overlay alive between its strict and cooperative solve.
+	// Bounded because overlays are retained graphs (~2x core); re-solving a
+	// long-finished goal is the service strategy cache's job, not this one's.
+	overlays fifo[overlayKey, *skeleton]
 
 	// Incremental re-solve caches (delta.go). deltas holds mutant skeletons —
 	// replayed over the core, or coldly explored under the E10 ablation —
 	// keyed by merged extrapolation signature and edit-set hash; fixes holds
 	// fully converged base fixpoints that seed the dirty-cone re-solve.
-	// Both are FIFO-bounded like the overlay cache.
-	deltas   map[deltaKey]*deltaSkeleton
-	dOrder   []deltaKey
-	fixes    map[fixKey]*baseFix
-	fixOrder []fixKey
+	deltas fifo[deltaKey, *deltaSkeleton]
+	fixes  fifo[fixKey, *baseFix]
 }
 
 // overlayCacheCap bounds the retained overlay skeletons per batch: enough
 // for several interleaved in-progress goals, small enough that overlay
 // memory stays a constant factor of the core skeleton's.
 const overlayCacheCap = 8
+
+// fifo is a cache of at most cap entries (cap > 0, set by NewBatch) with
+// first-in-first-out eviction.
+type fifo[K comparable, V any] struct {
+	m     map[K]V
+	order []K
+	cap   int
+}
+
+func (c *fifo[K, V]) get(k K) (V, bool) {
+	v, ok := c.m[k]
+	return v, ok
+}
+
+func (c *fifo[K, V]) put(k K, v V) {
+	if c.m == nil {
+		c.m = make(map[K]V, c.cap)
+	}
+	if len(c.order) >= c.cap {
+		delete(c.m, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.m[k] = v
+	c.order = append(c.order, k)
+}
 
 // NewBatch prepares batch solving of sys under the given options. The
 // Algorithm field is ignored: batch solving is inherently the Backward
@@ -102,7 +127,14 @@ func NewBatch(sys *model.System, opts Options) (*Batch, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	return &Batch{sys: sys, opts: opts, graphs: map[string]*skeleton{}}, nil
+	return &Batch{
+		sys:      sys,
+		opts:     opts,
+		graphs:   map[string]*skeleton{},
+		overlays: fifo[overlayKey, *skeleton]{cap: overlayCacheCap},
+		deltas:   fifo[deltaKey, *deltaSkeleton]{cap: deltaCacheCap},
+		fixes:    fifo[fixKey, *baseFix]{cap: fixpointCacheCap},
+	}, nil
 }
 
 // SetCancel installs the cancellation hook consulted by subsequent solves
@@ -132,14 +164,29 @@ func ExtrapolationSignature(sys *model.System, formula *tctl.Formula) string {
 	return fmt.Sprintf("%x", maxSignature(sys.MaxConstants(formula.ClockConstraints())))
 }
 
-// newSolver builds a solver shell for one purpose against the batch system.
-func (b *Batch) newSolver(formula *tctl.Formula, coop bool) *solver {
+// newSolver builds a solver shell for one reachability purpose on sys — the
+// batch system, a mutant of it, or a ghost-instrumented clone of either.
+func (b *Batch) newSolver(sys *model.System, formula *tctl.Formula, coop bool) (*solver, error) {
+	if formula.Objective != tctl.Reach {
+		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
+	}
 	opts := b.opts
 	opts.Algorithm = Backward
 	opts.TreatAllControllable = coop
-	s := newSolverShell(b.sys, formula, opts)
+	s := newSolverShell(sys, formula, opts)
 	s.lightStats = true
-	return s
+	return s, nil
+}
+
+// chargeCore records one use of a core skeleton in the SkeletonCore
+// counters; the use that missed paid for the exploration.
+func (st *Stats) chargeCore(core *skeleton, hit bool) {
+	if hit {
+		st.SkeletonCoreHits++
+	} else {
+		st.SkeletonCoreMisses++
+		st.ExploreDuration += core.buildDur
+	}
 }
 
 // Solve checks one reachability purpose, reusing the explored graph when
@@ -147,10 +194,10 @@ func (b *Batch) newSolver(formula *tctl.Formula, coop bool) *solver {
 // cooperative game (all transitions treated controllable — the paper's
 // fallback when the strict game is not winnable).
 func (b *Batch) Solve(formula *tctl.Formula, coop bool) (*Result, error) {
-	if formula.Objective != tctl.Reach {
-		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
+	s, err := b.newSolver(b.sys, formula, coop)
+	if err != nil {
+		return nil, err
 	}
-	s := b.newSolver(formula, coop)
 	sk, _, hit, err := b.coreSkeleton(formula)
 	if err != nil {
 		return nil, err
@@ -162,15 +209,11 @@ func (b *Batch) Solve(formula *tctl.Formula, coop bool) (*Result, error) {
 		s.stats.SkeletonMisses++
 		s.stats.ExploreDuration += sk.buildDur
 	}
-	return s.solveOnSkeleton(sk)
+	return s.solveOn(sk, nil, nil, nil)
 }
 
 // coreSkeleton returns the explored zone graph of the batch system for the
-// formula's extrapolation signature, exploring it on first use. The
-// exploring solver runs goal-free (exploreOnly): per-purpose fixpoints
-// recompute every goal anyway, and the formula may not even be evaluable
-// against the core system (ghost-overlay purposes reference the clone's
-// extra variable) — only its clock atoms matter here.
+// formula's extrapolation signature, exploring it on first use.
 func (b *Batch) coreSkeleton(formula *tctl.Formula) (*skeleton, string, bool, error) {
 	return b.coreSkeletonMax(formula, b.sys.MaxConstants(formula.ClockConstraints()))
 }
@@ -186,29 +229,31 @@ func (b *Batch) coreSkeletonMax(formula *tctl.Formula, max []int) (*skeleton, st
 	if sk, ok := b.graphs[sig]; ok {
 		return sk, sig, true, nil
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	es := newSolverShell(b.sys, formula, opts)
-	es.exploreOnly = true
-	es.lightStats = true
-	if !opts.DisableExtrapolation {
-		es.ex.Max = append([]int(nil), max...)
-	}
-	t0 := time.Now()
-	sk, err := b.explore(es)
+	sk, err := b.exploreSkeleton(b.sys, formula, max)
 	if err != nil {
 		return nil, sig, false, err
 	}
-	sk.buildDur = time.Since(t0)
 	b.graphs[sig] = sk
 	return sk, sig, false, nil
 }
 
-// explore runs the forward phase once and freezes the resulting graph as a
-// reusable skeleton. The driving solver's formula only influenced the
-// extrapolation constants, so the skeleton is formula-independent within
-// its signature.
-func (b *Batch) explore(s *solver) (*skeleton, error) {
+// exploreSkeleton runs the forward phase on sys once, under the given
+// extrapolation maxima, and freezes the resulting graph as a reusable
+// skeleton. The exploring solver runs goal-free (exploreOnly): per-purpose
+// fixpoints recompute every goal anyway, and the formula may not even be
+// evaluable against sys (ghost-overlay purposes reference the clone's extra
+// variable) — only its clock atoms matter here, so the skeleton is
+// formula-independent within its signature.
+func (b *Batch) exploreSkeleton(sys *model.System, formula *tctl.Formula, max []int) (*skeleton, error) {
+	s, err := b.newSolver(sys, formula, false)
+	if err != nil {
+		return nil, err
+	}
+	s.exploreOnly = true
+	if !b.opts.DisableExtrapolation {
+		s.ex.Max = append([]int(nil), max...)
+	}
+	t0 := time.Now()
 	init, err := s.ex.Initial()
 	if err != nil {
 		return nil, err
@@ -219,13 +264,26 @@ func (b *Batch) explore(s *solver) (*skeleton, error) {
 	if err := s.exploreAll(); err != nil {
 		return nil, err
 	}
-	return &skeleton{ex: s.ex, nodes: s.nodes, transitions: s.stats.Transitions}, nil
+	return &skeleton{ex: s.ex, nodes: s.nodes, transitions: s.stats.Transitions, buildDur: time.Since(t0)}, nil
 }
 
-// solveOnSkeleton clones the skeleton into the solver (sharing the
-// immutable parts, owning fresh goal/win federations) and runs the
-// backward fixpoint for the solver's own formula.
-func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
+// solveOn clones the skeleton into the solver (sharing the immutable
+// parts, owning fresh goal/win federations) and runs the backward fixpoint
+// for the solver's own formula.
+//
+// Without fix every node is a seed. With fix — a replayed mutant skeleton
+// (delta.go) — only the dirty cone seeds: baseOf maps each node to its core
+// counterpart, and cone marks the predecessor closure of the nodes whose
+// successors differ from the base graph. The cone is pred-closed, so its
+// complement is successor-closed and isomorphic to its base counterpart:
+// win sets there depend only on each other and are final in the converged
+// base fixpoint, whose goal/win/delta federations are shared by reference
+// (they are never mutated again — only cone nodes re-evaluate, and growth
+// propagates along predecessors, which stay inside the cone). The progress
+// stamp resumes from the base fixpoint's high-water mark so strategy
+// synthesis sees one globally consistent progress measure, and an empty
+// cone is answered by the base fixpoint as it stands.
+func (s *solver) solveOn(sk *skeleton, fix *baseFix, baseOf []int32, cone []bool) (*Result, error) {
 	s.ex = sk.ex
 	s.nodes = make([]*node, len(sk.nodes))
 	s.inReeval = make([]bool, len(sk.nodes))
@@ -233,6 +291,7 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 	// consumer runs this loop once per purpose over the whole skeleton, so
 	// per-node allocations multiply across the campaign.
 	arena := make([]node, len(sk.nodes))
+	seeds := 0
 	for i, o := range sk.nodes {
 		// Goal building walks the whole skeleton (millions of nodes on the
 		// large LEP instances) before the fixpoint's own budget checks run.
@@ -241,33 +300,37 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 				return nil, err
 			}
 		}
-		var goal *dbm.Federation
-		if sk.layers != nil {
+		n := &arena[i]
+		*n = node{id: o.id, st: o.st, zoneFed: o.zoneFed, succs: o.succs, preds: o.preds, explored: true}
+		s.nodes[i] = n
+		if fix != nil && !cone[i] {
+			f := fix.nodes[baseOf[i]]
+			n.goal, n.win, n.deltas, n.full = f.goal, f.win, f.deltas, f.full
+			continue
+		}
+		seeds++
+		switch {
+		case fix != nil && baseOf[i] >= 0:
+			// The state is shared with its core counterpart, so the base
+			// fixpoint's goal federation is this node's goal, by reference —
+			// goal sets are only ever read during a solve. Only mutant-fresh
+			// states pay a formula evaluation.
+			n.goal = fix.nodes[baseOf[i]].goal
+		case sk.layers != nil:
 			// Ghost overlay: the goal is the layer, no formula evaluation
 			// needed. Identical content to evaluating "ghost == 1" per node.
 			if sk.layers[i] == 1 {
-				goal = dbm.FedFromDBM(o.st.Zone.Dim(), o.st.Zone.Clone())
+				n.goal = dbm.FedFromDBM(o.st.Zone.Dim(), o.st.Zone.Clone())
 			} else {
-				goal = dbm.NewFederation(o.st.Zone.Dim())
+				n.goal = dbm.NewFederation(o.st.Zone.Dim())
 			}
-		} else {
+		default:
 			var err error
-			if goal, err = s.nodeGoal(o.st); err != nil {
+			if n.goal, err = s.nodeGoal(o.st); err != nil {
 				return nil, err
 			}
 		}
-		n := &arena[i]
-		*n = node{
-			id:       o.id,
-			st:       o.st,
-			zoneFed:  o.zoneFed,
-			goal:     goal,
-			succs:    o.succs,
-			preds:    o.preds,
-			win:      dbm.NewFederation(o.st.Zone.Dim()),
-			explored: true,
-		}
-		s.nodes[i] = n
+		n.win = dbm.NewFederation(o.st.Zone.Dim())
 	}
 	s.stats.Nodes = len(s.nodes)
 	s.stats.Transitions = sk.transitions
@@ -276,14 +339,22 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 		// condensation to this solver's condense() reuse check.
 		s.lastCond, s.lastCondNodes, s.lastCondTrans = sk.cond, len(s.nodes), sk.transitions
 	}
+	if fix != nil {
+		s.stamp = fix.stamp
+	}
+	if seeds == 0 {
+		return s.finishResult()
+	}
 
 	if s.propWorkers > 1 {
-		seeds := make([]int, len(s.nodes))
+		ids := make([]int, 0, seeds)
 		for i := range s.nodes {
-			seeds[i] = i
-			s.inReeval[i] = true
+			if fix == nil || cone[i] {
+				ids = append(ids, i)
+				s.inReeval[i] = true
+			}
 		}
-		if err := s.propagate(seeds, s.opts.EarlyTermination); err != nil {
+		if err := s.propagate(ids, s.opts.EarlyTermination); err != nil {
 			return nil, err
 		}
 		if sk.cond == nil {
@@ -291,7 +362,7 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 		}
 	} else {
 		t1 := time.Now()
-		// Seeded worklist instead of the classical round-robin: every node
+		// Seeded worklist instead of the classical round-robin: every seed
 		// is evaluated once in reverse id order (leaves of the exploration
 		// first, so information flows backward immediately), and only nodes
 		// whose successors grew are revisited. The fixpoint is the same
@@ -300,7 +371,9 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 		// batch consumers (campaign planning, the service) run dozens of
 		// these fixpoints per skeleton, so the waste was multiplied.
 		for id := len(s.nodes) - 1; id >= 0; id-- {
-			s.scheduleReeval(id)
+			if fix == nil || cone[id] {
+				s.scheduleReeval(id)
+			}
 		}
 		for len(s.reevalQ) > 0 {
 			if err := s.checkBudget(); err != nil {

@@ -5,25 +5,26 @@
 // entire zone graph of a mutant is isomorphic to the base graph the batch
 // already explored. SolveDelta exploits this in two steps:
 //
-//  1. Delta replay (the ghost-overlay replay of overlay.go generalized from
-//     "two layers of the same graph" to "the same graph with a dirty cone"):
-//     the mutant's zone graph is rebuilt by walking the base skeleton's
-//     frozen successor lists, in three tiers. A state is CLEAN when no
-//     process sits on a dirty location (model.EditSet.DirtyLocations) and
-//     the state exists in the base graph: its successors replay verbatim,
-//     sharing the base graph's states, zones and transitions — no zone is
-//     recomputed. A base-reachable state whose locations carry no
-//     location-level edit is SPLICED per candidate transition: candidates
-//     the edit cannot reach copy their base successor, a guard-only edit
-//     whose cut of the state's zone is unchanged is proven invisible and
-//     copied too, and only genuinely touched candidates are fired — the
-//     state seeds the dirty cone only when its spliced list differs from
-//     the base list. Everything else falls back to the symbolic explorer.
-//  2. Win-seeded fixpoint: the backward fixpoint is seeded only from the
-//     dirty cone — the predecessor closure of the dirty states. The cone is
-//     pred-closed, so everything outside it forms a successor-closed
-//     subgraph isomorphic to its base counterpart, where the cached base
-//     fixpoint values are already final and are shared by reference.
+//  1. Delta replay (the replay builder of overlay.go, with a splice policy
+//     where the ghost overlay has a layer split): the mutant's zone graph is
+//     rebuilt by walking the base skeleton's frozen successor lists, in three
+//     tiers. A state is CLEAN when no process sits on a dirty location
+//     (model.EditSet.DirtyLocations) and the state exists in the base graph:
+//     its successors replay verbatim, sharing the base graph's states, zones
+//     and transitions — no zone is recomputed. A base-reachable state whose
+//     locations carry no location-level edit is SPLICED per candidate
+//     transition: candidates the edit cannot reach copy their base successor,
+//     a guard-only edit whose cut of the state's zone is unchanged is proven
+//     invisible and copied too, and only genuinely touched candidates are
+//     fired — the state seeds the dirty cone only when its spliced list
+//     differs from the base list. Everything else falls back to the symbolic
+//     explorer.
+//  2. Win-seeded fixpoint: the batch's one fixpoint (solveOn) is seeded
+//     only from the dirty cone — the predecessor closure of the dirty
+//     states. The cone is pred-closed, so everything outside it forms a
+//     successor-closed subgraph isomorphic to its base counterpart, where
+//     the cached base fixpoint values are already final and are shared by
+//     reference.
 //
 // Both systems are explored under the pointwise maximum of the base and
 // mutant extrapolation constants, so the clean region's zones agree exactly
@@ -129,24 +130,10 @@ func mergedMaxima(base, mut *model.System, cc []model.ClockConstraint) []int {
 // cold solve of the mutant under the merged extrapolation maxima — which is
 // exactly what the Options.DisableIncremental ablation runs instead.
 func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.Formula, coop bool) (*Result, error) {
-	if formula.Objective != tctl.Reach {
-		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
-	}
-	if mut.NumClocks() != b.sys.NumClocks() || len(mut.Procs) != len(b.sys.Procs) {
-		return nil, fmt.Errorf("game: delta solve: mutant does not match the batch core")
-	}
-	// A mutation can break the system outright (an output swap can strand a
-	// receive without partners); reject it like Solve would, so callers can
-	// skip the row instead of solving garbage.
-	if err := mut.Validate(); err != nil {
+	s, err := b.newSolver(mut, formula, coop)
+	if err != nil {
 		return nil, err
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	opts.TreatAllControllable = coop
-	s := newSolverShell(mut, formula, opts)
-	s.lightStats = true
-
 	max := mergedMaxima(b.sys, mut, formula.ClockConstraints())
 	dsk, _, hit, err := b.deltaSkeleton(mut, es, formula, max, &s.stats)
 	if err != nil {
@@ -158,15 +145,15 @@ func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.F
 		s.stats.SkeletonMisses++
 	}
 	if dsk.dirty == nil {
-		// Cold-built skeleton (the E10 ablation, or a cached one): the
-		// ordinary full fixpoint. Same graph either way, so results match.
-		return s.solveOnSkeleton(dsk.sk)
+		// Cold-built skeleton (the E10 ablation): the ordinary full
+		// fixpoint. Same graph either way, so results match.
+		return s.solveOn(dsk.sk, nil, nil, nil)
 	}
 	fix, err := b.baseFixpoint(formula, coop, max)
 	if err != nil {
 		return nil, err
 	}
-	return s.solveOnDelta(dsk, fix)
+	return s.solveOn(dsk.sk, fix, dsk.baseOf, dsk.cone())
 }
 
 // SolveDeltaEdgeGhost solves an edge-coverage purpose against inst — a
@@ -179,80 +166,54 @@ func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.F
 // Under Options.DisableIncremental the overlay is split from the cold
 // merged-maxima mutant skeleton instead — identical graph, identical result.
 func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, formula *tctl.Formula, edgeID int, coop bool) (*Result, error) {
-	if formula.Objective != tctl.Reach {
-		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
+	s, err := b.newSolver(inst, formula, coop)
+	if err != nil {
+		return nil, err
 	}
 	if inst.NumClocks() != mut.NumClocks() || len(inst.Procs) != len(mut.Procs) {
 		return nil, fmt.Errorf("game: delta ghost overlay: instrumented system does not match the mutant")
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	opts.TreatAllControllable = coop
-	s := newSolverShell(inst, formula, opts)
-	s.lightStats = true
-
 	max := mergedMaxima(b.sys, mut, formula.ClockConstraints())
 	dsk, sig, hit, err := b.deltaSkeleton(mut, es, formula, max, &s.stats)
 	if err != nil {
 		return nil, err
 	}
+	// The delta skeleton is this solve's core; its build time is already
+	// charged by deltaSkeleton.
 	if hit {
 		s.stats.SkeletonCoreHits++
 	} else {
 		s.stats.SkeletonCoreMisses++
 	}
-
-	key := overlayKey{sig: sig, edge: edgeID, edits: es.Hash()}
-	ov := b.overlays[key]
-	if ov != nil {
-		s.stats.SkeletonHits++
-	} else {
-		s.stats.SkeletonMisses++
-		t0 := time.Now()
-		if ov, err = ghostOverlay(dsk.sk, edgeID, b.opts.MaxNodes, b.opts.Cancel); err != nil {
-			return nil, err
-		}
-		ov.buildDur = time.Since(t0)
-		s.stats.OverlayDuration += ov.buildDur
-		if b.overlays == nil {
-			b.overlays = make(map[overlayKey]*skeleton, overlayCacheCap)
-		}
-		if len(b.ovOrder) >= overlayCacheCap {
-			delete(b.overlays, b.ovOrder[0])
-			b.ovOrder = b.ovOrder[1:]
-		}
-		b.overlays[key] = ov
-		b.ovOrder = append(b.ovOrder, key)
-	}
-	return s.solveOnSkeleton(ov)
+	return b.solveGhost(s, dsk.sk, overlayKey{sig: sig, edge: edgeID, edits: es.Hash()})
 }
 
 // deltaSkeleton returns the mutant's explored zone graph, replaying it over
 // the core skeleton — or exploring it cold under the merged maxima when the
 // E10 ablation is on. Cached per (signature, edit hash); the boolean
 // reports a cache hit. Exploration and replay wall-clock are charged to st.
+// A mutant that does not match the core's shape, or that is invalid on its
+// own (an output swap can strand a receive without partners), is rejected
+// like Solve would reject it, so callers can skip the row instead of
+// solving garbage.
 func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tctl.Formula, max []int, st *Stats) (*deltaSkeleton, string, bool, error) {
 	sig := maxSignature(max)
+	if mut.NumClocks() != b.sys.NumClocks() || len(mut.Procs) != len(b.sys.Procs) {
+		return nil, sig, false, fmt.Errorf("game: delta solve: mutant does not match the batch core")
+	}
+	if err := mut.Validate(); err != nil {
+		return nil, sig, false, err
+	}
 	key := deltaKey{sig: sig, edits: es.Hash()}
-	if dsk, ok := b.deltas[key]; ok {
+	if dsk, ok := b.deltas.get(key); ok {
 		return dsk, sig, true, nil
 	}
 	var dsk *deltaSkeleton
 	if b.opts.DisableIncremental {
-		opts := b.opts
-		opts.Algorithm = Backward
-		ex := newSolverShell(mut, formula, opts)
-		ex.exploreOnly = true
-		ex.lightStats = true
-		if !opts.DisableExtrapolation {
-			ex.ex.Max = append([]int(nil), max...)
-		}
-		t0 := time.Now()
-		sk, err := b.explore(ex)
+		sk, err := b.exploreSkeleton(mut, formula, max)
 		if err != nil {
 			return nil, sig, false, err
 		}
-		sk.buildDur = time.Since(t0)
 		st.ExploreDuration += sk.buildDur
 		dsk = &deltaSkeleton{sk: sk}
 	} else {
@@ -260,12 +221,7 @@ func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tct
 		if err != nil {
 			return nil, sig, false, err
 		}
-		if coreHit {
-			st.SkeletonCoreHits++
-		} else {
-			st.SkeletonCoreMisses++
-			st.ExploreDuration += core.buildDur
-		}
+		st.chargeCore(core, coreHit)
 		mutEx := symbolic.NewExplorer(mut, formula.ClockConstraints())
 		if b.opts.DisableExtrapolation {
 			mutEx.Max = nil
@@ -280,16 +236,33 @@ func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tct
 		dsk.sk.buildDur = time.Since(t0)
 		st.OverlayDuration += dsk.sk.buildDur
 	}
-	if b.deltas == nil {
-		b.deltas = make(map[deltaKey]*deltaSkeleton, deltaCacheCap)
-	}
-	if len(b.dOrder) >= deltaCacheCap {
-		delete(b.deltas, b.dOrder[0])
-		b.dOrder = b.dOrder[1:]
-	}
-	b.deltas[key] = dsk
-	b.dOrder = append(b.dOrder, key)
+	b.deltas.put(key, dsk)
 	return dsk, sig, false, nil
+}
+
+// cone returns the dirty cone of a replayed skeleton: the predecessor
+// closure of its dirty nodes, the only nodes whose fixpoint values can
+// differ from the base fixpoint's.
+func (d *deltaSkeleton) cone() []bool {
+	cone := make([]bool, len(d.sk.nodes))
+	var stack []int
+	for id, dirty := range d.dirty {
+		if dirty {
+			cone[id] = true
+			stack = append(stack, id)
+		}
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range d.sk.nodes[id].preds {
+			if !cone[p] {
+				cone[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	return cone
 }
 
 // deltaReplay rebuilds the mutant's zone graph over the core skeleton in
@@ -402,12 +375,11 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	}
 
 	cap0 := len(core.nodes) + 64
-	var transitions int
+	r := &replay{nodes: make([]*node, 0, cap0), maxNodes: maxNodes, cancel: cancel}
 	// Node structs come from one arena sized to the core graph — in-regime
 	// mutants stay within a fraction of it, so per-node allocation is the
 	// rare overflow case, not the common path.
 	arena := make([]node, cap0)
-	nodes := make([]*node, 0, cap0)
 	baseOf := make([]int32, 0, cap0)
 	dirty := make([]bool, 0, cap0)
 	index := make(map[uint64][]int32, cap0)
@@ -424,26 +396,20 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	// names the core node carrying the same state (-1 when only the mutant
 	// reaches it), whose state and zone are then shared.
 	add := func(st *symbolic.State, base int32, h uint64) (int, error) {
-		if maxNodes > 0 && len(nodes)+1 > maxNodes {
-			return 0, budgetNodesErr(maxNodes)
+		if err := r.grow(); err != nil {
+			return 0, err
 		}
-		if cancel != nil && len(nodes)&4095 == 0 {
-			select {
-			case <-cancel:
-				return 0, ErrCanceled
-			default:
-			}
-		}
+		id := len(r.nodes)
 		var n *node
-		if id := len(nodes); id < len(arena) {
+		if id < len(arena) {
 			n = &arena[id]
 		} else {
 			n = new(node)
 		}
 		if base >= 0 {
 			o := core.nodes[base]
-			*n = node{id: len(nodes), st: o.st, zoneFed: o.zoneFed, explored: true}
-			coreToDelta[base] = int32(n.id)
+			*n = node{id: id, st: o.st, zoneFed: o.zoneFed, explored: true}
+			coreToDelta[base] = int32(id)
 			// The delta graph is near-isomorphic to the core, so the base
 			// counterpart's degrees are the right capacities: piecemeal
 			// append growth here dominated the replay's allocation bill.
@@ -454,23 +420,13 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 				n.succs = make([]succRef, 0, len(o.succs))
 			}
 		} else {
-			*n = node{id: len(nodes), st: st, zoneFed: dbm.FedFromDBM(st.Zone.Dim(), st.Zone), explored: true}
+			*n = node{id: id, st: st, zoneFed: dbm.FedFromDBM(st.Zone.Dim(), st.Zone), explored: true}
 		}
-		index[h] = append(index[h], int32(n.id))
-		nodes = append(nodes, n)
+		index[h] = append(index[h], int32(id))
+		r.nodes = append(r.nodes, n)
 		baseOf = append(baseOf, base)
 		dirty = append(dirty, false)
-		return n.id, nil
-	}
-	// internCore finds or adds the delta node for a state named by its core
-	// id — the only lookup the clean replay performs. Every delta node that
-	// shares a core state registers in coreToDelta when added (whichever
-	// path adds it first), so the mapping is total over interned states.
-	internCore := func(cid int) (int, error) {
-		if id := coreToDelta[cid]; id >= 0 {
-			return int(id), nil
-		}
-		return add(core.nodes[cid].st, int32(cid), core.stHash[cid])
+		return id, nil
 	}
 	// intern finds or adds the delta node for a state built by the mutant
 	// explorer. owned marks a zone freshly built by the explorer, released
@@ -479,7 +435,7 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	intern := func(st *symbolic.State, owned bool) (int, error) {
 		h := st.HashKey()
 		for _, id := range index[h] {
-			if nodes[id].st.EqualTo(st) {
+			if r.nodes[id].st.EqualTo(st) {
 				if owned {
 					st.Zone.Release()
 				}
@@ -497,6 +453,36 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 			st.Zone.Release()
 		}
 		return add(st, base, h)
+	}
+	// copyBase replays one base successor entry verbatim. Its target is
+	// named by core id — the only lookup the clean replay performs. Every
+	// delta node that shares a core state registers in coreToDelta when
+	// added (whichever path adds it first), so the mapping is total over
+	// interned states.
+	copyBase := func(id int, sc *succRef) error {
+		tid := int(coreToDelta[sc.target])
+		if tid < 0 {
+			var err error
+			if tid, err = add(core.nodes[sc.target].st, int32(sc.target), core.stHash[sc.target]); err != nil {
+				return err
+			}
+		}
+		r.link(id, sc.trans, tid)
+		return nil
+	}
+	// fire computes one candidate with the mutant explorer and links its
+	// successor; it reports whether the candidate was enabled.
+	fire := func(id int, t symbolic.Transition) (bool, error) {
+		succ, err := mutEx.Fire(r.nodes[id].st, t)
+		if err != nil || succ == nil {
+			return false, err
+		}
+		tid, err := intern(succ.State, true)
+		if err != nil {
+			return false, err
+		}
+		r.link(id, succ.Trans, tid)
+		return true, nil
 	}
 	// findBase locates the base successor fired by the same participating
 	// edges (matched by global ID — unique per state, so the scan needs no
@@ -558,46 +544,29 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	// the result differs from the base list: a widened guard whose extra
 	// band this state's zone never enters leaves the successors
 	// byte-identical, and the fixpoint then costs nothing.
-	splice := func(id, b int) error {
-		n := nodes[id]
-		o := core.nodes[b]
+	splice := func(id int, o *node) error {
+		st := r.nodes[id].st
 		copied := 0
-		tmpls := candsFor(n.st)
-		for i := range tmpls {
-			t := tmpls[i].t
-			if c := tmpls[i].cls; c == spliceCopy ||
-				(c == spliceGuardOnly && guardCutUnchanged(n.st.Zone, t)) {
-				if j := findBase(o, t); j >= 0 {
-					sc := &o.succs[j]
-					tid, err := internCore(sc.target)
-					if err != nil {
+		for _, c := range candsFor(st) {
+			if c.cls == spliceCopy || (c.cls == spliceGuardOnly && guardCutUnchanged(st.Zone, c.t)) {
+				if j := findBase(o, c.t); j >= 0 {
+					if err := copyBase(id, &o.succs[j]); err != nil {
 						return err
 					}
-					n.succs = append(n.succs, succRef{trans: sc.trans, target: tid})
-					nodes[tid].addPred(id)
-					transitions++
 					copied++
 				}
-				continue
-			}
-			succ, err := mutEx.Fire(n.st, t)
-			if err != nil {
-				return err
-			}
-			if succ == nil {
 				continue
 			}
 			// An enabled edited transition always seeds the cone: even when
 			// the successor state coincides with the base one, the edited
 			// guard changes the backward pred region through this move.
-			dirty[id] = true
-			tid, err := intern(succ.State, true)
+			enabled, err := fire(id, c.t)
 			if err != nil {
 				return err
 			}
-			n.succs = append(n.succs, succRef{trans: succ.Trans, target: tid})
-			nodes[tid].addPred(id)
-			transitions++
+			if enabled {
+				dirty[id] = true
+			}
 		}
 		if copied != len(o.succs) {
 			// Some base successor was not replayed: an edited transition was
@@ -607,48 +576,31 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 		return nil
 	}
 	wire := func(id int) error {
-		n := nodes[id]
+		st := r.nodes[id].st
 		if b := baseOf[id]; b >= 0 {
-			if clean(n.st) {
+			o := core.nodes[b]
+			if clean(st) {
 				// Clean replay. Sources of every changed edge — including
 				// all sync partners — sit on dirty locations, so the base
 				// successor list is, transition for transition, what the
 				// mutant explorer would compute here (same edge order, same
 				// zones under the merged maxima).
-				o := core.nodes[b]
 				for i := range o.succs {
-					sc := &o.succs[i]
-					tid, err := internCore(sc.target)
-					if err != nil {
+					if err := copyBase(id, &o.succs[i]); err != nil {
 						return err
 					}
-					n.succs = append(n.succs, succRef{trans: sc.trans, target: tid})
-					nodes[tid].addPred(id)
-					transitions++
 				}
 				return nil
 			}
-			if locClean(n.st) {
-				return splice(id, int(b))
+			if locClean(st) {
+				return splice(id, o)
 			}
 		}
 		dirty[id] = true
-		tmpls := candsFor(n.st)
-		for i := range tmpls {
-			succ, err := mutEx.Fire(n.st, tmpls[i].t)
-			if err != nil {
+		for _, c := range candsFor(st) {
+			if _, err := fire(id, c.t); err != nil {
 				return err
 			}
-			if succ == nil {
-				continue
-			}
-			tid, err := intern(succ.State, true)
-			if err != nil {
-				return err
-			}
-			n.succs = append(n.succs, succRef{trans: succ.Trans, target: tid})
-			nodes[tid].addPred(id)
-			transitions++
 		}
 		return nil
 	}
@@ -660,15 +612,11 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	if _, err := intern(init, true); err != nil {
 		return nil, err
 	}
-	// Frontier rounds wire nodes in id order: each round's discoveries are
-	// numbered after every node of the round itself.
-	for id := 0; id < len(nodes); id++ {
-		if err := wire(id); err != nil {
-			return nil, err
-		}
+	if err := r.run(wire); err != nil {
+		return nil, err
 	}
 	return &deltaSkeleton{
-		sk:     &skeleton{ex: mutEx, nodes: nodes, transitions: transitions},
+		sk:     &skeleton{ex: mutEx, nodes: r.nodes, transitions: r.transitions},
 		baseOf: baseOf,
 		dirty:  dirty,
 	}, nil
@@ -699,165 +647,22 @@ func (b *Batch) Prepare(formula *tctl.Formula, coop bool) error {
 // must be the complete least fixpoint, not a prefix of it.
 func (b *Batch) baseFixpoint(formula *tctl.Formula, coop bool, max []int) (*baseFix, error) {
 	key := fixKey{sig: maxSignature(max), purpose: formula.String(), coop: coop}
-	if f, ok := b.fixes[key]; ok {
+	if f, ok := b.fixes.get(key); ok {
 		return f, nil
 	}
 	core, _, _, err := b.coreSkeletonMax(formula, max)
 	if err != nil {
 		return nil, err
 	}
-	s := b.newSolver(formula, coop)
+	s, err := b.newSolver(b.sys, formula, coop)
+	if err != nil {
+		return nil, err
+	}
 	s.opts.EarlyTermination = false
-	if _, err := s.solveOnSkeleton(core); err != nil {
+	if _, err := s.solveOn(core, nil, nil, nil); err != nil {
 		return nil, err
 	}
 	f := &baseFix{nodes: s.nodes, stamp: s.stamp}
-	if b.fixes == nil {
-		b.fixes = make(map[fixKey]*baseFix, fixpointCacheCap)
-	}
-	if len(b.fixOrder) >= fixpointCacheCap {
-		delete(b.fixes, b.fixOrder[0])
-		b.fixOrder = b.fixOrder[1:]
-	}
-	b.fixes[key] = f
-	b.fixOrder = append(b.fixOrder, key)
+	b.fixes.put(key, f)
 	return f, nil
-}
-
-// solveOnDelta runs the backward fixpoint over a replayed mutant skeleton,
-// seeded only from the dirty cone — the predecessor closure of the nodes
-// the mutant explorer (re)explored. The cone is pred-closed by construction,
-// so its complement is successor-closed and isomorphic to its base
-// counterpart: win sets there depend only on each other and are final in
-// the cached base fixpoint, whose goal/win/delta federations are shared by
-// reference (they are never mutated again — only cone nodes re-evaluate,
-// and growth propagates along predecessors, which stay inside the cone).
-// The progress stamp resumes from the base fixpoint's high-water mark so
-// strategy synthesis sees one globally consistent progress measure.
-func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error) {
-	sk := dsk.sk
-	s.ex = sk.ex
-	s.nodes = make([]*node, len(sk.nodes))
-	s.inReeval = make([]bool, len(sk.nodes))
-
-	cone := make([]bool, len(sk.nodes))
-	var stack []int
-	for id := range dsk.dirty {
-		if dsk.dirty[id] {
-			cone[id] = true
-			stack = append(stack, id)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range sk.nodes[id].preds {
-			if !cone[p] {
-				cone[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-
-	arena := make([]node, len(sk.nodes))
-	coneCount := 0
-	for i, o := range sk.nodes {
-		if i&4095 == 0 {
-			if err := s.checkCancel(); err != nil {
-				return nil, err
-			}
-		}
-		n := &arena[i]
-		if !cone[i] {
-			f := fix.nodes[dsk.baseOf[i]]
-			*n = node{
-				id:       i,
-				st:       o.st,
-				zoneFed:  o.zoneFed,
-				goal:     f.goal,
-				succs:    o.succs,
-				preds:    o.preds,
-				win:      f.win,
-				deltas:   f.deltas,
-				full:     f.full,
-				explored: true,
-			}
-		} else {
-			coneCount++
-			var goal *dbm.Federation
-			if b := dsk.baseOf[i]; b >= 0 {
-				// The state is shared with its core counterpart, so the base
-				// fixpoint's goal federation is this node's goal, by
-				// reference — goal sets are only ever read during a solve.
-				// Only mutant-fresh states pay a formula evaluation.
-				goal = fix.nodes[b].goal
-			} else {
-				var err error
-				if goal, err = s.nodeGoal(o.st); err != nil {
-					return nil, err
-				}
-			}
-			*n = node{
-				id:       i,
-				st:       o.st,
-				zoneFed:  o.zoneFed,
-				goal:     goal,
-				succs:    o.succs,
-				preds:    o.preds,
-				win:      dbm.NewFederation(o.st.Zone.Dim()),
-				explored: true,
-			}
-		}
-		s.nodes[i] = n
-	}
-	s.stats.Nodes = len(s.nodes)
-	s.stats.Transitions = sk.transitions
-	if sk.cond != nil {
-		s.lastCond, s.lastCondNodes, s.lastCondTrans = sk.cond, len(s.nodes), sk.transitions
-	}
-	s.stamp = fix.stamp
-
-	if coneCount == 0 {
-		// The edit touches nothing reachable: the base fixpoint already is
-		// the answer.
-		return s.finishResult()
-	}
-	if s.propWorkers > 1 {
-		seeds := make([]int, 0, coneCount)
-		for i := range s.nodes {
-			if cone[i] {
-				seeds = append(seeds, i)
-				s.inReeval[i] = true
-			}
-		}
-		if err := s.propagate(seeds, s.opts.EarlyTermination); err != nil {
-			return nil, err
-		}
-		if sk.cond == nil {
-			sk.cond = s.lastCond
-		}
-	} else {
-		t1 := time.Now()
-		for id := len(s.nodes) - 1; id >= 0; id-- {
-			if cone[id] {
-				s.scheduleReeval(id)
-			}
-		}
-		for len(s.reevalQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			id := s.reevalQ[0]
-			s.reevalQ = s.reevalQ[1:]
-			s.inReeval[id] = false
-			if _, err := s.reeval(id); err != nil {
-				return nil, err
-			}
-			if s.opts.EarlyTermination && s.initialDecided() {
-				break
-			}
-		}
-		s.stats.PropagateDuration += time.Since(t1)
-	}
-	return s.finishResult()
 }

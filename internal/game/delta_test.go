@@ -7,6 +7,7 @@
 package game
 
 import (
+	"strings"
 	"testing"
 
 	"tigatest/internal/expr"
@@ -17,9 +18,10 @@ import (
 )
 
 // TestDeltaSolveMatchesCold drives SolveDelta across the built-in models,
-// every applicable mutation operator, both games and both engine schedules,
-// comparing the incremental path against the DisableIncremental ablation
-// node for node.
+// every applicable mutation operator, both games, one and four exploration
+// workers and both fixpoint branches (the one-worker worklist and the
+// propagate() pass over the dirty cone), comparing the incremental path
+// against the DisableIncremental ablation node for node.
 func TestDeltaSolveMatchesCold(t *testing.T) {
 	for _, mn := range []string{"smartlight", "traingate"} {
 		sys, env, plant, goalSrc, err := models.ByName(mn, 2)
@@ -31,12 +33,13 @@ func TestDeltaSolveMatchesCold(t *testing.T) {
 		if len(muts) == 0 {
 			t.Fatalf("%s: no mutants generated", mn)
 		}
-		for _, workers := range []int{1, 4} {
-			inc, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1})
+		for _, cfg := range deltaConfigs {
+			workers := cfg.workers
+			inc, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: cfg.prop})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1, DisableIncremental: true})
+			cold, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: cfg.prop, DisableIncremental: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,42 +62,43 @@ func TestDeltaSolveMatchesCold(t *testing.T) {
 				for _, coop := range []bool{false, true} {
 					ri, err := inc.SolveDelta(m.Sys, es, f, coop)
 					if err != nil {
-						t.Fatalf("%s %s coop=%v workers=%d: incremental: %v", mn, m.Description, coop, workers, err)
+						t.Fatalf("%s %s coop=%v workers/prop=%v: incremental: %v", mn, m.Description, coop, cfg, err)
 					}
 					rc, err := cold.SolveDelta(m.Sys, es, f, coop)
 					if err != nil {
-						t.Fatalf("%s %s coop=%v workers=%d: cold: %v", mn, m.Description, coop, workers, err)
+						t.Fatalf("%s %s coop=%v workers/prop=%v: cold: %v", mn, m.Description, coop, cfg, err)
 					}
 					ctx := mn + " " + m.Description
 					if ri.Winnable != rc.Winnable {
-						t.Fatalf("%s coop=%v workers=%d: incremental winnable=%v, cold winnable=%v",
-							ctx, coop, workers, ri.Winnable, rc.Winnable)
+						t.Fatalf("%s coop=%v workers/prop=%v: incremental winnable=%v, cold winnable=%v",
+							ctx, coop, cfg, ri.Winnable, rc.Winnable)
 					}
 					if ri.Stats.Nodes != rc.Stats.Nodes || ri.Stats.Transitions != rc.Stats.Transitions {
-						t.Fatalf("%s coop=%v workers=%d: incremental graph %d/%d, cold graph %d/%d",
-							ctx, coop, workers, ri.Stats.Nodes, ri.Stats.Transitions, rc.Stats.Nodes, rc.Stats.Transitions)
+						t.Fatalf("%s coop=%v workers/prop=%v: incremental graph %d/%d, cold graph %d/%d",
+							ctx, coop, cfg, ri.Stats.Nodes, ri.Stats.Transitions, rc.Stats.Nodes, rc.Stats.Transitions)
 					}
 					if len(ri.Win) != len(rc.Win) {
-						t.Fatalf("%s coop=%v workers=%d: win map sizes %d vs %d",
-							ctx, coop, workers, len(ri.Win), len(rc.Win))
+						t.Fatalf("%s coop=%v workers/prop=%v: win map sizes %d vs %d",
+							ctx, coop, cfg, len(ri.Win), len(rc.Win))
 					}
 					for id, w := range rc.Win {
 						if !ri.Win[id].Equals(w) {
-							t.Fatalf("%s coop=%v workers=%d: winning set of node %d differs",
-								ctx, coop, workers, id)
+							t.Fatalf("%s coop=%v workers/prop=%v: winning set of node %d differs",
+								ctx, coop, cfg, id)
 						}
 					}
 					// Independent reference under the mutant's own maxima:
 					// numbering differs, winnability cannot.
-					rr, err := Solve(m.Sys, f, Options{Algorithm: Backward, Workers: workers, PropagationWorkers: 1, TreatAllControllable: coop})
+					rr, err := Solve(m.Sys, f, Options{Algorithm: Backward, Workers: workers, PropagationWorkers: cfg.prop, TreatAllControllable: coop})
 					if err != nil {
 						t.Fatalf("%s: reference solve: %v", ctx, err)
 					}
 					if rr.Winnable != ri.Winnable {
-						t.Fatalf("%s coop=%v workers=%d: incremental winnable=%v, reference solve winnable=%v",
-							ctx, coop, workers, ri.Winnable, rr.Winnable)
+						t.Fatalf("%s coop=%v workers/prop=%v: incremental winnable=%v, reference solve winnable=%v",
+							ctx, coop, cfg, ri.Winnable, rr.Winnable)
 					}
 				}
+				assertDeltaPaths(t, mn+" "+m.Description, inc, cold)
 			}
 			if checked < 4 {
 				t.Fatalf("%s: only %d valid mutants, differential coverage too thin", mn, checked)
@@ -102,8 +106,8 @@ func TestDeltaSolveMatchesCold(t *testing.T) {
 			// Every mutant family must have shared base explorations through
 			// the merged-signature skeleton cache, not re-explored per mutant.
 			if len(inc.graphs) >= checked {
-				t.Fatalf("%s workers=%d: %d core skeletons for %d mutants — the delta path is not sharing",
-					mn, workers, len(inc.graphs), checked)
+				t.Fatalf("%s workers/prop=%v: %d core skeletons for %d mutants — the delta path is not sharing",
+					mn, cfg, len(inc.graphs), checked)
 			}
 		}
 	}
@@ -119,12 +123,13 @@ func TestDeltaEdgeGhostMatchesCold(t *testing.T) {
 	if len(muts) == 0 {
 		t.Fatal("no mutants generated")
 	}
-	for _, workers := range []int{1, 4} {
-		inc, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1})
+	for _, cfg := range deltaConfigs {
+		workers := cfg.workers
+		inc, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: cfg.prop})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1, DisableIncremental: true})
+		cold, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: cfg.prop, DisableIncremental: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,28 +148,97 @@ func TestDeltaEdgeGhostMatchesCold(t *testing.T) {
 			for _, coop := range []bool{false, true} {
 				ri, err := inc.SolveDeltaEdgeGhost(inst, m.Sys, es, gf, edgeID, coop)
 				if err != nil {
-					t.Fatalf("%s coop=%v workers=%d: incremental: %v", m.Description, coop, workers, err)
+					t.Fatalf("%s coop=%v workers/prop=%v: incremental: %v", m.Description, coop, cfg, err)
 				}
 				rc, err := cold.SolveDeltaEdgeGhost(inst, m.Sys, es, gf, edgeID, coop)
 				if err != nil {
-					t.Fatalf("%s coop=%v workers=%d: cold: %v", m.Description, coop, workers, err)
+					t.Fatalf("%s coop=%v workers/prop=%v: cold: %v", m.Description, coop, cfg, err)
 				}
 				if ri.Winnable != rc.Winnable {
-					t.Fatalf("%s coop=%v workers=%d: incremental winnable=%v, cold winnable=%v",
-						m.Description, coop, workers, ri.Winnable, rc.Winnable)
+					t.Fatalf("%s coop=%v workers/prop=%v: incremental winnable=%v, cold winnable=%v",
+						m.Description, coop, cfg, ri.Winnable, rc.Winnable)
 				}
 				if ri.Stats.Nodes != rc.Stats.Nodes || ri.Stats.Transitions != rc.Stats.Transitions {
-					t.Fatalf("%s coop=%v workers=%d: incremental graph %d/%d, cold graph %d/%d",
-						m.Description, coop, workers, ri.Stats.Nodes, ri.Stats.Transitions, rc.Stats.Nodes, rc.Stats.Transitions)
+					t.Fatalf("%s coop=%v workers/prop=%v: incremental graph %d/%d, cold graph %d/%d",
+						m.Description, coop, cfg, ri.Stats.Nodes, ri.Stats.Transitions, rc.Stats.Nodes, rc.Stats.Transitions)
 				}
 				for id, w := range rc.Win {
 					if !ri.Win[id].Equals(w) {
-						t.Fatalf("%s coop=%v workers=%d: winning set of node %d differs",
-							m.Description, coop, workers, id)
+						t.Fatalf("%s coop=%v workers/prop=%v: winning set of node %d differs",
+							m.Description, coop, cfg, id)
 					}
 				}
 			}
+			assertDeltaPaths(t, m.Description, inc, cold)
 		}
+	}
+}
+
+// deltaConfigs are the (exploration workers, propagation workers) pairs the
+// delta differentials run at: propagation worker counts above one take the
+// propagate() branch of the cone re-solve instead of the worklist.
+var deltaConfigs = []struct{ workers, prop int }{{1, 1}, {4, 1}, {1, 4}, {4, 4}}
+
+// assertDeltaPaths checks that each batch took the path it claims: every
+// cached mutant skeleton of the incremental batch was replayed over the
+// core (it carries the dirty marks that seed the cone), and every one of
+// the ablation batch was explored cold (it carries none).
+func assertDeltaPaths(t *testing.T, ctx string, inc, cold *Batch) {
+	t.Helper()
+	if len(inc.deltas.m) == 0 || len(cold.deltas.m) == 0 {
+		t.Fatalf("%s: no cached delta skeletons (incremental %d, cold %d)", ctx, len(inc.deltas.m), len(cold.deltas.m))
+	}
+	for k, d := range inc.deltas.m {
+		if d.dirty == nil {
+			t.Fatalf("%s: incremental delta skeleton %x was explored cold, not replayed", ctx, k.edits)
+		}
+	}
+	for k, d := range cold.deltas.m {
+		if d.dirty != nil {
+			t.Fatalf("%s: ablation delta skeleton %x was replayed, not explored cold", ctx, k.edits)
+		}
+	}
+}
+
+// TestDeltaRejectsInvalidMutant pins the checks both delta entry points
+// share: traingate's output-swap mutants strand a receive without a
+// synchronization partner, and SolveDelta and SolveDeltaEdgeGhost must both
+// return the mutant's validation error instead of solving it.
+func TestDeltaRejectsInvalidMutant(t *testing.T) {
+	sys, env, plant, goalSrc, err := models.ByName("traingate", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := tctl.MustParse(env, goalSrc)
+	b, err := NewBatch(sys, Options{Workers: 1, PropagationWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := 0
+	for _, m := range mutate.All(sys, plant, 2) {
+		verr := m.Sys.Validate()
+		if verr == nil {
+			continue
+		}
+		invalid++
+		if !strings.Contains(verr.Error(), "has no synchronization partner") {
+			t.Fatalf("%s: unexpected validation error %v", m.Description, verr)
+		}
+		es, err := model.Diff(sys, m.Sys)
+		if err != nil {
+			t.Fatalf("%s: diff: %v", m.Description, err)
+		}
+		if _, err := b.SolveDelta(m.Sys, es, f, false); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: SolveDelta returned %v, want %v", m.Description, err, verr)
+		}
+		edgeID := m.Sys.Procs[plant[0]].Edges[0].ID
+		inst, gf := instrumentForTest(t, m.Sys, edgeID)
+		if _, err := b.SolveDeltaEdgeGhost(inst, m.Sys, es, gf, edgeID, false); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: SolveDeltaEdgeGhost returned %v, want %v", m.Description, err, verr)
+		}
+	}
+	if invalid != 2 {
+		t.Fatalf("traingate: %d invalid mutants, want the 2 output swaps", invalid)
 	}
 }
 

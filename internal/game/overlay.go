@@ -13,11 +13,13 @@
 // graph by pure graph replay — no zone is ever recomputed — and runs the
 // ordinary per-purpose backward fixpoint on it.
 //
-// The replay mirrors the engine's frontier-round exploration schedule, so
-// node numbering, successor/predecessor order, and node/transition counts
-// are identical to what exploring the instrumented clone would have
-// produced — the solve is the same computation on the same graph,
-// byte-for-byte, minus the exploration cost.
+// This file also holds the replay builder both replays share (the ghost
+// overlay here, the delta replay of delta.go): it walks the engine's
+// frontier-round exploration schedule, so node numbering,
+// successor/predecessor order, and node/transition counts are identical
+// to what exploring the replayed system would have produced — the solve is
+// the same computation on the same graph, byte-for-byte, minus the
+// exploration cost.
 
 package game
 
@@ -29,6 +31,51 @@ import (
 	"tigatest/internal/symbolic"
 	"tigatest/internal/tctl"
 )
+
+// replay builds a zone graph from a frozen one without exploring it. The
+// caller supplies the wiring of one node as a closure; replay numbers nodes
+// in discovery order and wires them in id order, which is the engine's
+// frontier-round schedule.
+type replay struct {
+	nodes       []*node
+	transitions int
+	maxNodes    int
+	cancel      <-chan struct{}
+}
+
+// grow admits one more node: it enforces the node budget and polls cancel
+// every 4096 nodes (ErrCanceled once closed).
+func (r *replay) grow() error {
+	if r.maxNodes > 0 && len(r.nodes)+1 > r.maxNodes {
+		return budgetNodesErr(r.maxNodes)
+	}
+	if r.cancel != nil && len(r.nodes)&4095 == 0 {
+		select {
+		case <-r.cancel:
+			return ErrCanceled
+		default:
+		}
+	}
+	return nil
+}
+
+// link appends the transition from node id to node tid.
+func (r *replay) link(id int, trans symbolic.Transition, tid int) {
+	r.nodes[id].succs = append(r.nodes[id].succs, succRef{trans: trans, target: tid})
+	r.nodes[tid].addPred(id)
+	r.transitions++
+}
+
+// run wires every node in id order: each frontier round's discoveries are
+// numbered after every node of the round itself.
+func (r *replay) run(wire func(id int) error) error {
+	for id := 0; id < len(r.nodes); id++ {
+		if err := wire(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // overlayKey identifies one cached overlay skeleton: the core signature it
 // was split from, the watched edge, and — for overlays split from a mutant
@@ -59,53 +106,40 @@ type overlayKey struct {
 // the watched edge's extra assignment (campaign.instrumentEdge's
 // construction); clocks, locations, channels and edge ids must match.
 func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID int, coop bool) (*Result, error) {
-	if formula.Objective != tctl.Reach {
-		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
+	s, err := b.newSolver(inst, formula, coop)
+	if err != nil {
+		return nil, err
 	}
 	if inst.NumClocks() != b.sys.NumClocks() || len(inst.Procs) != len(b.sys.Procs) {
 		return nil, fmt.Errorf("game: ghost overlay: instrumented system does not match the batch core")
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	opts.TreatAllControllable = coop
-	s := newSolverShell(inst, formula, opts)
-	s.lightStats = true
-
 	core, sig, coreHit, err := b.coreSkeleton(formula)
 	if err != nil {
 		return nil, err
 	}
-	if coreHit {
-		s.stats.SkeletonCoreHits++
-	} else {
-		s.stats.SkeletonCoreMisses++
-		s.stats.ExploreDuration += core.buildDur
-	}
+	s.stats.chargeCore(core, coreHit)
+	return b.solveGhost(s, core, overlayKey{sig: sig, edge: edgeID})
+}
 
-	key := overlayKey{sig: sig, edge: edgeID, edits: 0}
-	ov := b.overlays[key]
-	if ov != nil {
+// solveGhost runs s on the ghost overlay of key.edge split from base (the
+// core skeleton, or a mutant's delta skeleton), replaying the overlay on a
+// cache miss.
+func (b *Batch) solveGhost(s *solver, base *skeleton, key overlayKey) (*Result, error) {
+	ov, ok := b.overlays.get(key)
+	if ok {
 		s.stats.SkeletonHits++
 	} else {
 		s.stats.SkeletonMisses++
-		var err error
 		t0 := time.Now()
-		if ov, err = ghostOverlay(core, edgeID, b.opts.MaxNodes, b.opts.Cancel); err != nil {
+		var err error
+		if ov, err = ghostOverlay(base, key.edge, b.opts.MaxNodes, b.opts.Cancel); err != nil {
 			return nil, err
 		}
 		ov.buildDur = time.Since(t0)
 		s.stats.OverlayDuration += ov.buildDur
-		if b.overlays == nil {
-			b.overlays = make(map[overlayKey]*skeleton, overlayCacheCap)
-		}
-		if len(b.ovOrder) >= overlayCacheCap {
-			delete(b.overlays, b.ovOrder[0])
-			b.ovOrder = b.ovOrder[1:]
-		}
-		b.overlays[key] = ov
-		b.ovOrder = append(b.ovOrder, key)
+		b.overlays.put(key, ov)
 	}
-	return s.solveOnSkeleton(ov)
+	return s.solveOn(ov, nil, nil, nil)
 }
 
 // ghostOverlay replays the core skeleton into the two-layer overlay graph
@@ -116,10 +150,6 @@ func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID
 // so goal evaluation, strategy rendering and trace formatting against the
 // instrumented system work unchanged; zones and location vectors are
 // shared with the core, never copied.
-//
-// The replay walks the frontier rounds of the engine, so node ids match
-// what exploring the instrumented clone would have assigned. cancel aborts
-// the replay with ErrCanceled (polled every 4096 added nodes).
 func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct{}) (*skeleton, error) {
 	watched := func(t *symbolic.Transition) bool {
 		for _, e := range t.Edges {
@@ -130,46 +160,37 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 		return false
 	}
 
+	r := &replay{maxNodes: maxNodes, cancel: cancel}
 	// ids maps (core node, layer) to the overlay id; skelOf/layerOf invert.
 	ids := make([][2]int, len(core.nodes))
 	for i := range ids {
 		ids[i] = [2]int{-1, -1}
 	}
 	var (
-		nodes       []*node
-		skelOf      []int
-		layerOf     []int8
-		transitions int
+		skelOf  []int
+		layerOf []int8
 	)
 	add := func(skel, layer int) (int, error) {
-		if maxNodes > 0 && len(nodes)+1 > maxNodes {
-			return 0, budgetNodesErr(maxNodes)
-		}
-		if cancel != nil && len(nodes)&4095 == 0 {
-			select {
-			case <-cancel:
-				return 0, ErrCanceled
-			default:
-			}
+		if err := r.grow(); err != nil {
+			return 0, err
 		}
 		o := core.nodes[skel]
-		n := &node{
-			id:       len(nodes),
+		id := len(r.nodes)
+		r.nodes = append(r.nodes, &node{
+			id:       id,
 			st:       o.st.WithOverlayVar(int32(layer)),
 			zoneFed:  o.zoneFed,
 			explored: true,
-		}
-		ids[skel][layer] = n.id
-		nodes = append(nodes, n)
+		})
+		ids[skel][layer] = id
 		skelOf = append(skelOf, skel)
 		layerOf = append(layerOf, int8(layer))
-		return n.id, nil
+		return id, nil
 	}
-	// wire replays the exploration of one overlay node from its core
-	// counterpart's frozen successor list, preserving successor order (and
-	// therefore predecessor order and numbering of newly found nodes).
+	// Each overlay node replays its core counterpart's frozen successor
+	// list, preserving successor order (and therefore predecessor order and
+	// numbering of newly found nodes).
 	wire := func(id int) error {
-		n := nodes[id]
 		o := core.nodes[skelOf[id]]
 		for i := range o.succs {
 			sc := &o.succs[i]
@@ -184,9 +205,7 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 					return err
 				}
 			}
-			n.succs = append(n.succs, succRef{trans: sc.trans, target: tid})
-			nodes[tid].addPred(id)
-			transitions++
+			r.link(id, sc.trans, tid)
 		}
 		return nil
 	}
@@ -194,12 +213,8 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 	if _, err := add(0, 0); err != nil {
 		return nil, err
 	}
-	// Frontier rounds wire nodes in id order: each round's discoveries are
-	// numbered after every node of the round itself.
-	for id := 0; id < len(nodes); id++ {
-		if err := wire(id); err != nil {
-			return nil, err
-		}
+	if err := r.run(wire); err != nil {
+		return nil, err
 	}
-	return &skeleton{ex: core.ex, nodes: nodes, transitions: transitions, layers: layerOf}, nil
+	return &skeleton{ex: core.ex, nodes: r.nodes, transitions: r.transitions, layers: layerOf}, nil
 }

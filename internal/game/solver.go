@@ -24,9 +24,10 @@
 // Key types: Solve runs one purpose to a Result (winning sets, Stats and,
 // when winnable, a Strategy — the state-based winning strategy a test
 // driver consults); Batch amortizes many purposes over one explored zone
-// graph per extrapolation signature, including ghost-overlay solving of
-// edge-coverage purposes (overlay.go); Options selects the algorithm,
-// the exploration and propagation worker counts, and budgets.
+// graph per extrapolation signature — ghost overlays of edge-coverage
+// purposes (overlay.go) and mutants (delta.go) are rebuilt from it by one
+// replay builder and solved by one seeded fixpoint; Options selects the
+// algorithm, the exploration and propagation worker counts, and budgets.
 //
 // Concurrency contract: Solve and Batch methods are single-caller (a
 // Batch is NOT safe for concurrent use — callers serialize, as the
